@@ -19,6 +19,15 @@ namespace {
 /// parallel paths produce identical output at any size.
 constexpr VertexId kIntraParallelMinVertices = 4096;
 
+/// Bounded FM: a pass ends once max(kFmStallMinMoves, n / kFmStallDivisor)
+/// applied moves have gone by since its best prefix. The Metis-style
+/// clamp(n / 100, 15, 100) gave up several percent of cut on the benchmark
+/// graphs; n / 4 stays within ~1.5% of the unbounded pass's cut for most of
+/// the speed-up (DESIGN.md Section 10). The floor keeps tiny graphs on full
+/// passes.
+constexpr size_t kFmStallMinMoves = 50;
+constexpr VertexId kFmStallDivisor = 4;
+
 int64_t CutWeightRange(const WeightedGraph& graph,
                        const std::vector<uint8_t>& side, VertexId begin,
                        VertexId end) {
@@ -105,20 +114,33 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
     }
   }
 
-  // Assign coarse IDs (pair representative = smaller fine ID).
+  // Assign coarse IDs (pair representative = smaller fine ID) and bucket the
+  // fine vertices by coarse vertex in one flat CSR: members[member_begin[c],
+  // member_begin[c + 1]) in ascending fine-ID order. A vertex still
+  // unassigned when the scan reaches it is smaller than its mate (a smaller
+  // mate would have assigned it already), so appending v then its mate is
+  // exactly the ascending order a counting sort by coarse ID would give.
   fine_to_coarse->assign(n, kInvalidVertex);
+  std::vector<VertexId> members;
+  members.reserve(n);
+  std::vector<size_t> member_begin;
+  member_begin.reserve(static_cast<size_t>(n) + 1);
   VertexId next_coarse = 0;
   for (VertexId v = 0; v < n; ++v) {
     if ((*fine_to_coarse)[v] != kInvalidVertex) {
       continue;
     }
+    member_begin.push_back(members.size());
     (*fine_to_coarse)[v] = next_coarse;
+    members.push_back(v);
     const VertexId mate = match[v];
     if (mate != v && mate != kInvalidVertex) {
       (*fine_to_coarse)[mate] = next_coarse;
+      members.push_back(mate);
     }
     ++next_coarse;
   }
+  member_begin.push_back(members.size());
 
   // Build the coarse graph by accumulating edges per coarse vertex.
   WeightedGraph coarse;
@@ -126,23 +148,19 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
   for (VertexId v = 0; v < n; ++v) {
     coarse.vertex_weights[(*fine_to_coarse)[v]] += graph.vertex_weights[v];
   }
-  // Bucket fine vertices by coarse vertex to merge adjacency lists.
-  std::vector<std::vector<VertexId>> members(next_coarse);
-  for (VertexId v = 0; v < n; ++v) {
-    members[(*fine_to_coarse)[v]].push_back(v);
-  }
   coarse.offsets.assign(next_coarse + 1, 0);
   // Merges one coarse vertex's adjacency: accumulate edge weights from all
   // members into `accumulator` (dense, reset after use), emit neighbors in
   // sorted coarse-ID order. Each coarse vertex is independent of the others,
   // which is what the sharded build below exploits.
-  auto merge_adjacency = [&graph, &members, fine_to_coarse](
+  auto merge_adjacency = [&graph, &members, &member_begin, fine_to_coarse](
                              VertexId c, std::vector<int64_t>& accumulator,
                              std::vector<VertexId>& touched,
                              std::vector<VertexId>& out_neighbors,
                              std::vector<int64_t>& out_weights) {
     touched.clear();
-    for (VertexId v : members[c]) {
+    for (size_t m = member_begin[c]; m < member_begin[c + 1]; ++m) {
+      const VertexId v = members[m];
       const auto nbrs = graph.Neighbors(v);
       const auto weights = graph.EdgeWeights(v);
       for (size_t i = 0; i < nbrs.size(); ++i) {
@@ -360,18 +378,37 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
 
   std::vector<uint8_t>& side = result->side;
   uint32_t improving_passes = 0;
+  const size_t stall_limit =
+      std::max<size_t>(kFmStallMinMoves, n / kFmStallDivisor);
+  // Prefer feasible (balanced) states; among feasible states, the lowest
+  // cut; among infeasible ones, the least imbalanced. This lets a pass
+  // repair an infeasible starting point even at the cost of a worse cut.
+  auto score = [max_side](int64_t cut, int64_t w0, int64_t w1) {
+    const int64_t heavier = std::max(w0, w1);
+    const int64_t overweight = std::max<int64_t>(0, heavier - max_side);
+    // Lexicographic: feasibility first, then imbalance, then cut.
+    return std::make_tuple(overweight > 0 ? 1 : 0, overweight, cut);
+  };
+
+  // Pass state, allocated once and reset by every pass. `heap` is a binary
+  // max-heap (std::push_heap / std::pop_heap under std::less) whose storage
+  // keeps its capacity from pass to pass.
+  std::vector<int64_t> gain(n);
+  std::vector<uint8_t> moved(n, 0);
+  std::vector<std::pair<int64_t, VertexId>> heap;
+  heap.reserve(n);
+  std::vector<VertexId> move_sequence;
+  move_sequence.reserve(n);
 
   for (uint32_t pass = 0; pass < options.refine_passes; ++pass) {
     // gain[v] = cut reduction from moving v to the other side. Computing the
     // initial gains is the pass's only O(E) scan, and each vertex's gain is
     // independent, so it shards over the pool; the heap is then built from
     // the full entry vector in one shot. A binary heap's pop sequence is a
-    // function of its *contents* (every (gain, v) pair is distinct, so the
-    // max is unique at each pop), not of its internal layout, so make_heap
-    // here and the former one-push-per-vertex loop pop identically.
-    std::vector<int64_t> gain(n);
-    std::vector<std::pair<int64_t, VertexId>> entries(n);
-    std::vector<uint8_t> moved(n, 0);
+    // function of its *contents* (equal maxima are equal pairs), not of its
+    // internal layout, so make_heap here and a one-push-per-vertex loop pop
+    // identically.
+    heap.resize(n);
     ParallelForChunked(n < kIntraParallelMinVertices ? nullptr : options.pool,
                        n, /*grain=*/1024, [&](size_t begin, size_t end) {
                          for (size_t i = begin; i < end; ++i) {
@@ -379,31 +416,24 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
                            const SideWeights sw =
                                ComputeSideWeights(graph, v, side);
                            gain[v] = sw.other - sw.same;
-                           entries[i] = {gain[v], v};
+                           heap[i] = {gain[v], v};
                          }
                        });
-    std::priority_queue<std::pair<int64_t, VertexId>> heap(
-        std::less<std::pair<int64_t, VertexId>>(), std::move(entries));
+    std::make_heap(heap.begin(), heap.end());
 
     int64_t side_weight[2] = {result->side_weight[0], result->side_weight[1]};
     int64_t current_cut = result->cut_weight;
-    // Prefer feasible (balanced) states; among feasible states, the lowest
-    // cut; among infeasible ones, the least imbalanced. This lets a pass
-    // repair an infeasible starting point even at the cost of a worse cut.
-    auto score = [&](int64_t cut, int64_t w0, int64_t w1) {
-      const int64_t heavier = std::max(w0, w1);
-      const int64_t overweight = std::max<int64_t>(0, heavier - max_side);
-      // Lexicographic: feasibility first, then imbalance, then cut.
-      return std::make_tuple(overweight > 0 ? 1 : 0, overweight, cut);
-    };
     auto best_score = score(current_cut, side_weight[0], side_weight[1]);
-    int64_t moves_to_best = 0;
-    std::vector<VertexId> move_sequence;
-    move_sequence.reserve(n);
+    // The cut and side weights of the best prefix, kept as it is recorded:
+    // the gains are exact, so these equal a rescan of the rolled-back sides.
+    int64_t best_cut = current_cut;
+    int64_t best_side_weight[2] = {side_weight[0], side_weight[1]};
+    size_t moves_to_best = 0;
 
     while (!heap.empty()) {
-      auto [g, v] = heap.top();
-      heap.pop();
+      std::pop_heap(heap.begin(), heap.end());
+      const auto [g, v] = heap.back();
+      heap.pop_back();
       if (moved[v] || g != gain[v]) {
         continue;
       }
@@ -424,7 +454,10 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
       const auto s = score(current_cut, side_weight[0], side_weight[1]);
       if (s < best_score) {
         best_score = s;
-        moves_to_best = static_cast<int64_t>(move_sequence.size());
+        best_cut = current_cut;
+        best_side_weight[0] = side_weight[0];
+        best_side_weight[1] = side_weight[1];
+        moves_to_best = move_sequence.size();
       }
       // Update neighbor gains.
       const auto nbrs = graph.Neighbors(v);
@@ -440,21 +473,30 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
         } else {
           gain[u] += 2 * weights[i];
         }
-        heap.emplace(gain[u], u);
+        heap.emplace_back(gain[u], u);
+        std::push_heap(heap.begin(), heap.end());
       }
-      // Bound pass length: after n moves everything flipped once.
-      if (move_sequence.size() >= n) {
+      // Bound pass length: after n moves everything flipped once, and a
+      // pass stall_limit moves past its best prefix rarely climbs back.
+      if (move_sequence.size() >= n ||
+          move_sequence.size() - moves_to_best >= stall_limit) {
         break;
       }
     }
 
-    // Roll back to the best prefix.
-    for (int64_t i = static_cast<int64_t>(move_sequence.size()) - 1;
-         i >= moves_to_best; --i) {
+    // Roll back to the best prefix, and reset the pass state for the next.
+    for (size_t i = move_sequence.size(); i-- > moves_to_best;) {
       const VertexId v = move_sequence[i];
       side[v] = 1 - side[v];
     }
-    FillResult(graph, result, options.pool);
+    for (VertexId v : move_sequence) {
+      moved[v] = 0;
+    }
+    move_sequence.clear();
+    heap.clear();
+    result->cut_weight = best_cut;
+    result->side_weight[0] = best_side_weight[0];
+    result->side_weight[1] = best_side_weight[1];
     if (moves_to_best == 0) {
       break;  // pass found no improvement
     }

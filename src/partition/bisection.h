@@ -23,7 +23,10 @@ struct BisectionOptions {
   uint32_t coarsen_target = 256;
   /// Number of random GGGP seed growths; the best cut wins.
   uint32_t gggp_trials = 8;
-  /// Maximum FM passes at each uncoarsening level.
+  /// Maximum FM passes at each uncoarsening level. Each pass is bounded: it
+  /// stops after n moves, or once max(50, n / 4) moves have gone by without
+  /// beating its best prefix (n = vertices being refined), and refinement
+  /// stops after the first pass that does not improve.
   uint32_t refine_passes = 8;
   uint64_t seed = 1;
   /// Optional worker pool (not owned; may be null) for intra-bisection
@@ -83,7 +86,9 @@ BisectionResult InitialBisection(const WeightedGraph& graph,
                                  const BisectionOptions& options);
 
 /// FM refinement; improves `result` in place. Returns the number of passes
-/// that improved the cut.
+/// that improved the cut. `result`'s cut and side weights must match its
+/// sides on entry: the passes update them move by move instead of
+/// rescanning the graph.
 uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
                   BisectionResult* result);
 

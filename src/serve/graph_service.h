@@ -217,7 +217,10 @@ class GraphService {
       }
       stopped_ = true;
     }
-    stop_.store(true, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(wake_mu_);
+      stop_ = true;
+    }
     wake_cv_.notify_all();
     for (std::thread& worker : workers_) {
       worker.join();
@@ -382,6 +385,10 @@ class GraphService {
     }
     // TrySend moved the task into the queue; `task` is now null.
     submitted_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(wake_mu_);
+      ++published_;
+    }
     wake_cv_.notify_one();
   }
 
@@ -423,18 +430,26 @@ class GraphService {
     }
   }
 
+  /// Claims one published query at a time and executes it; once stopping,
+  /// drains what is published and returns. `published_` and `stop_` change
+  /// only under wake_mu_, which the wait predicate reads them under, so a
+  /// notify can never fall between the check and the sleep: no lost
+  /// wake-ups, hence no timed wait.
   void WorkerLoop() {
     while (true) {
-      std::optional<std::unique_ptr<Task>> task = queue_.TryRecv();
-      if (!task.has_value()) {
-        if (stop_.load(std::memory_order_acquire)) {
+      {
+        std::unique_lock<std::mutex> lock(wake_mu_);
+        wake_cv_.wait(lock, [this] { return stop_ || published_ > 0; });
+        if (published_ == 0) {
           return;
         }
-        std::unique_lock<std::mutex> lock(wake_mu_);
-        wake_cv_.wait_for(lock, std::chrono::milliseconds(5));
-        continue;
+        --published_;
       }
-      Execute(**task);
+      // Every claim follows its query's TrySend and only claimants dequeue
+      // while workers run, so the queue holds a query for this claim.
+      if (std::optional<std::unique_ptr<Task>> task = queue_.TryRecv()) {
+        Execute(**task);
+      }
     }
   }
 
@@ -604,9 +619,12 @@ class GraphService {
   std::mutex lifecycle_mu_;
   bool stopped_ = false;
   std::vector<std::thread> workers_;
-  std::atomic<bool> stop_{false};
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
+  /// Guarded by wake_mu_: queries enqueued and not yet claimed by a worker,
+  /// and whether Stop has begun.
+  size_t published_ = 0;
+  bool stop_ = false;
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};

@@ -1,4 +1,6 @@
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -115,20 +117,34 @@ TEST(BisectionTest, CoarseningPreservesTotals) {
   }
 }
 
-TEST(BisectionTest, CutConsistentWithSides) {
-  auto g = GenerateRmat({.num_vertices = 1024, .num_edges = 8192, .seed = 5});
-  ASSERT_TRUE(g.ok());
-  const WeightedGraph wg = WeightedGraph::FromDataGraph(*g);
-  BisectionOptions options;
-  const BisectionResult result = Bisect(wg, options);
-  EXPECT_EQ(result.cut_weight, ComputeCutWeight(wg, result.side));
+// Side weights summed from scratch, for checking a result's recorded ones.
+std::pair<int64_t, int64_t> FreshSideWeights(const WeightedGraph& wg,
+                                             const std::vector<uint8_t>& side) {
   int64_t w0 = 0;
   int64_t w1 = 0;
   for (VertexId v = 0; v < wg.num_vertices(); ++v) {
-    (result.side[v] == 0 ? w0 : w1) += wg.vertex_weights[v];
+    (side[v] == 0 ? w0 : w1) += wg.vertex_weights[v];
   }
-  EXPECT_EQ(result.side_weight[0], w0);
-  EXPECT_EQ(result.side_weight[1], w1);
+  return {w0, w1};
+}
+
+// FmRefine reports the cut and side weights it recorded at the best prefix
+// rather than rescanning the graph; they must equal a rescan. At 4096
+// vertices the last (root-level) refinement's passes end on the stall bound
+// rather than the n-move cap.
+TEST(BisectionTest, CutConsistentWithSides) {
+  for (const VertexId n : {VertexId{1024}, VertexId{4096}}) {
+    SCOPED_TRACE("num_vertices=" + std::to_string(n));
+    auto g = GenerateRmat({.num_vertices = n, .num_edges = 8 * n, .seed = 5});
+    ASSERT_TRUE(g.ok());
+    const WeightedGraph wg = WeightedGraph::FromDataGraph(*g);
+    BisectionOptions options;
+    const BisectionResult result = Bisect(wg, options);
+    EXPECT_EQ(result.cut_weight, ComputeCutWeight(wg, result.side));
+    const auto [w0, w1] = FreshSideWeights(wg, result.side);
+    EXPECT_EQ(result.side_weight[0], w0);
+    EXPECT_EQ(result.side_weight[1], w1);
+  }
 }
 
 class BisectionPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -178,6 +194,29 @@ TEST(BisectionTest, FmRefineImprovesBadStart) {
   internal::FmRefine(wg, options, &result);
   EXPECT_LT(result.cut_weight, before);
   EXPECT_EQ(result.cut_weight, ComputeCutWeight(wg, result.side));
+}
+
+// Every vertex on side 0 is as infeasible as a start gets. Each move off the
+// overweight side improves the score and so restarts the stall count, so a
+// bounded pass still drains it into balance on a graph large enough for the
+// bound to matter.
+TEST(BisectionTest, FmRefineRepairsInfeasibleStartUnderStallBound) {
+  auto g = GenerateRmat({.num_vertices = 2048, .num_edges = 16384, .seed = 3});
+  ASSERT_TRUE(g.ok());
+  const WeightedGraph wg = WeightedGraph::FromDataGraph(*g);
+  BisectionResult result;
+  result.side.assign(wg.num_vertices(), 0);
+  result.cut_weight = 0;
+  result.side_weight[0] = wg.TotalVertexWeight();
+  result.side_weight[1] = 0;
+  BisectionOptions options;
+  EXPECT_GE(internal::FmRefine(wg, options, &result), 1u);
+  EXPECT_LE(result.Imbalance(), options.balance_epsilon);
+  EXPECT_GT(result.side_weight[1], 0);
+  EXPECT_EQ(result.cut_weight, ComputeCutWeight(wg, result.side));
+  const auto [w0, w1] = FreshSideWeights(wg, result.side);
+  EXPECT_EQ(result.side_weight[0], w0);
+  EXPECT_EQ(result.side_weight[1], w1);
 }
 
 TEST(BisectionTest, HandlesTinyGraphs) {

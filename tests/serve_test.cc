@@ -339,6 +339,31 @@ TEST(GraphServiceTest, StopResolvesQueuedQueriesWithUnavailable) {
 
 // ------------------------------------------------ concurrency + metrics
 
+// A closed loop of one client and one worker: every query lands just as the
+// worker finishes the previous one and looks for more, which is exactly when
+// a notify sent outside the worker's mutex can fall between its check for
+// work and its sleep, stranding the query until a timed sleep (5 ms) ends.
+// The latency is measured by the service itself (enqueue to answer), so the
+// client's own scheduling does not count. The race is narrow: a service
+// that has it fails this test in about one run in five.
+TEST(GraphServiceTest, SequentialQueriesNeverMissAWakeUp) {
+  Engine session = Session();
+  ServeOptions options;
+  options.num_workers = 1;
+  auto service = session.Serve(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  constexpr int kQueries = 2000;
+  const VertexId n = Fixture().graph.num_vertices();
+  for (int q = 0; q < kQueries; ++q) {
+    auto response = (*service)->Rank(static_cast<VertexId>(q) % n).get();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+  }
+  const serve::ServiceStats stats = (*service)->stats();
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kQueries));
+  EXPECT_LT(stats.latency_us.max(), 5000.0)
+      << "a query sat in the queue for a whole 5 ms timed wait";
+}
+
 TEST(GraphServiceTest, ConcurrentClientsUnderSmallAdmissionWindow) {
   Engine session = Session();
   ServeOptions options;
