@@ -378,8 +378,7 @@ inline Status EngineOptions::Validate() const {
 ///   SURFER_ASSIGN_OR_RETURN(auto service, engine.Serve(serve_options));
 ///
 /// The Engine does not own the graph/placement/topology (they typically live
-/// in a SurferEngine); it owns only the validated options. The free-function
-/// RunApp overloads in core/run_app.h are deprecated shims over this class.
+/// in a SurferEngine); it owns only the validated options.
 class Engine {
  public:
   /// Opens a session. Fails with InvalidArgument when any pointer is null or

@@ -28,8 +28,9 @@
 #include "obs/trace.h"
 #include "propagation/app_traits.h"
 #include "propagation/config.h"
-#include "runtime/combine_plan.h"
+#include "propagation/engine_inputs.h"
 #include "runtime/fault.h"
+#include "runtime/partition_kernel.h"
 #include "runtime/report.h"
 #include "runtime/stats.h"
 #include "runtime/timeline.h"
@@ -105,16 +106,18 @@ namespace detail {
 /// m % P == proc, executes their rounds as directed by the coordinator, and
 /// exchanges WireBatch data frames with the other workers over the TCP mesh.
 ///
-/// Bit-identity argument (the same one the threaded RuntimeExecutor makes):
-/// exactly one machine produces a given (src partition -> dst partition)
-/// stream per stage, each TCP connection is FIFO and drained by one receiver
-/// thread into a FIFO mailbox, so chunks of a stream reach the destination
-/// inbox in emission order; the combine side stable-sorts chunks by src
-/// partition, concatenates, and stable-sorts records by target — exactly the
-/// sequential inbox. Recovery preserves the argument because replayed
-/// retained segments keep their original src machine and relative order, and
-/// re-executed transfer tasks go back through a WireStager (identical merge
-/// sequence) against *iteration-start* states (see next_states_ below).
+/// Tasks run through the runtime::PartitionKernel the threaded engine also
+/// uses, so the bit-identity argument is the kernel's: each TCP connection
+/// is FIFO and drained by one receiver thread into a FIFO mailbox, so chunks
+/// of a stream reach the destination inbox in emission order. Recovery
+/// preserves the argument because replayed retained segments keep their
+/// original src machine and relative order, and re-executed transfer tasks
+/// go back through a WireStager (identical merge sequence) against
+/// *iteration-start* states (see next_states_ below).
+///
+/// Its kernel policies: Combine works on a copy of the partition's states in
+/// next_states_ (deferred commit), sealed batches go to ShipBatch with
+/// retention, and refetches are priced against replicas_[p][0].
 template <typename App>
   requires DistributableApp<App>
 class DistributedWorker {
@@ -176,16 +179,6 @@ class DistributedWorker {
   }
 
  private:
-  /// One deserialized wire segment waiting in a partition's inbox; mirrors
-  /// the threaded executor's chunk (src machine kept for refetch pricing).
-  struct InboxChunk {
-    PartitionId src = kInvalidPartition;
-    MachineId src_machine = kInvalidMachine;
-    uint64_t priced_bytes = 0;
-    std::vector<std::pair<VertexId, Message>> real;
-    std::vector<std::pair<uint64_t, Message>> virtuals;
-  };
-
   static double NowUnixUs() {
     return static_cast<double>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -236,8 +229,7 @@ class DistributedWorker {
         hosted_.push_back(m);
       }
     }
-    wire_combine_ = config_.local_combination && MergeableApp<App> &&
-                    options_.wire.wire_combine;
+    wire_combine_ = config_.local_combination && MergeableApp<App>;
     pool_ = std::make_unique<runtime::WireBufferPool>();
     for (MachineId m : hosted_) {
       stagers_.emplace(
@@ -246,12 +238,7 @@ class DistributedWorker {
                                 num_machines_, wire_combine_));
     }
 
-    const Graph& g = graph_->encoded_graph();
-    states_.clear();
-    states_.reserve(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      states_.push_back(app_.InitState(v, g.OutNeighbors(v)));
-    }
+    states_ = InitialStates(app_, *graph_);
     // Deferred-commit double buffer: transfer tasks (including recovery
     // re-execution, which can run *after* some combines of the same
     // iteration) always read states_, the value set at iteration start;
@@ -260,7 +247,8 @@ class DistributedWorker {
     next_states_ = states_;
     dirty_.assign(num_partitions_, 0);
     state_version_.assign(num_partitions_, -1);
-    inboxes_.assign(num_partitions_, {});
+    kernel_ = std::make_unique<runtime::PartitionKernel<App>>(
+        app_, *graph_, config_.frontier_gating, /*num_threads=*/1);
     stage_tasks_done_.assign(num_machines_, 0);
     link_bytes_.assign(static_cast<size_t>(num_machines_) * num_machines_, 0);
 
@@ -371,18 +359,12 @@ class DistributedWorker {
         }
         SendTaskDone(p, m, round);
         if (round.kind == RoundKind::kTransfer) {
-          stagers_.at(m).FlushExpired([&](runtime::WireBatch&& batch) {
-            return ShipBatch(std::move(batch), /*resend=*/false,
-                             /*retain=*/true);
-          });
+          stagers_.at(m).FlushExpired(SendSink());
         }
         PumpMailbox();
       }
       if (round.kind == RoundKind::kTransfer) {
-        stagers_.at(m).FlushAll([&](runtime::WireBatch&& batch) {
-          return ShipBatch(std::move(batch), /*resend=*/false,
-                           /*retain=*/true);
-        });
+        stagers_.at(m).FlushAll(SendSink());
       }
     }
     FinishRound(round);
@@ -398,7 +380,7 @@ class DistributedWorker {
     // until PumpMailbox runs (pumps only happen inside rounds).
     for (PartitionId p = 0; p < num_partitions_; ++p) {
       if (round.exec[p] != kInvalidMachine && HostedHere(round.exec[p])) {
-        inboxes_[p].clear();
+        kernel_->ClearInbox(0, p);
       }
     }
     ReplayRetained(round);
@@ -520,41 +502,28 @@ class DistributedWorker {
     return 0.0;
   }
 
+  /// The batch sink of first sends (the kernel's sink policy here): booked,
+  /// retained for replay, shipped.
+  auto SendSink() {
+    return [this](runtime::WireBatch&& batch) {
+      return ShipBatch(std::move(batch), /*resend=*/false, /*retain=*/true);
+    };
+  }
+
+  /// Ships every staged batch, then waits until peers consumed every sent
+  /// frame.
+  void FlushAndAwaitAcks() {
+    for (auto& [m, stager] : stagers_) {
+      stager.FlushAll(SendSink());
+    }
+    (void)transport_.WaitDataAcked();
+  }
+
+  /// Queues one batch's segments into the kernel's inboxes. Bytes that fail
+  /// the kernel's decode checks are a protocol failure.
   void ApplyBatch(const runtime::WireBatch& batch) {
-    runtime::WireBatchReader<Message> reader(batch);
-    for (;;) {
-      // Decode into a recycled chunk's record vectors (capacity kept):
-      // steady-state unpacking allocates nothing. The worker loop is
-      // single-threaded, so the pool needs no locking.
-      InboxChunk chunk;
-      if (!chunk_pool_.empty()) {
-        chunk = std::move(chunk_pool_.back());
-        chunk_pool_.pop_back();
-      }
-      typename runtime::WireBatchReader<Message>::Segment segment;
-      segment.real = std::move(chunk.real);
-      segment.virtuals = std::move(chunk.virtuals);
-      const bool decoded = reader.NextInto(segment);
-      chunk.real = std::move(segment.real);
-      chunk.virtuals = std::move(segment.virtuals);
-      if (!decoded) {
-        if (chunk_pool_.size() < kChunkPoolCap) {
-          chunk_pool_.push_back(std::move(chunk));
-        }
-        break;
-      }
-      if (segment.header.dst_partition >= num_partitions_) {
-        chunk.real.clear();
-        chunk.virtuals.clear();
-        if (chunk_pool_.size() < kChunkPoolCap) {
-          chunk_pool_.push_back(std::move(chunk));
-        }
-        continue;
-      }
-      chunk.src = segment.header.src_partition;
-      chunk.src_machine = batch.src_machine;
-      chunk.priced_bytes = segment.header.priced_bytes;
-      inboxes_[segment.header.dst_partition].push_back(std::move(chunk));
+    if (!kernel_->Receive(0, batch).ok()) {
+      Die();
     }
   }
 
@@ -573,131 +542,32 @@ class DistributedWorker {
   // -------------------------------------------------------------- task logic
 
   void RunTransferTask(PartitionId p, MachineId m, const RoundMsg& round) {
-    const Graph& g = graph_->encoded_graph();
-    const PartitionMeta& meta = graph_->partition(p);
-    std::vector<std::vector<std::pair<VertexId, Message>>> real_out(
-        num_partitions_);
-    std::vector<std::vector<std::pair<uint64_t, Message>>> virtual_out(
-        num_partitions_);
-    PropagationEmitter<Message> emitter;
-    for (VertexId v = meta.begin; v < meta.end; ++v) {
-      app_.Transfer(v, states_[v], g.OutNeighbors(v), emitter);
-      emitter.Drain(
-          [&](VertexId target, Message message) {
-            real_out[graph_->PartitionOf(target)].emplace_back(
-                target, std::move(message));
-          },
-          [&](uint64_t target, Message message) {
-            virtual_out[target % num_partitions_].emplace_back(
-                target, std::move(message));
-          });
-    }
     runtime::WireStager<App>& stager = stagers_.at(m);
-    for (PartitionId dst = 0; dst < num_partitions_; ++dst) {
-      if (real_out[dst].empty() && virtual_out[dst].empty()) {
-        continue;
-      }
-      stager.StageTask(p, dst, round.route[dst], real_out[dst],
-                       virtual_out[dst], [&](runtime::WireBatch&& batch) {
-                         return ShipBatch(std::move(batch), /*resend=*/false,
-                                          /*retain=*/true);
-                       });
-    }
+    kernel_->Transfer(
+        0, p, states_, [&](PartitionId dst, auto& real, auto& virtuals) {
+          stager.StageTask(p, dst, round.route[dst], real, virtuals,
+                           SendSink());
+        });
   }
 
   void RunCombineTask(PartitionId p, MachineId m, const RoundMsg& round) {
-    const Graph& g = graph_->encoded_graph();
     const PartitionMeta& meta = graph_->partition(p);
-    std::vector<InboxChunk>& chunks = inboxes_[p];
-    std::stable_sort(chunks.begin(), chunks.end(),
-                     [](const InboxChunk& a, const InboxChunk& b) {
-                       return a.src < b.src;
-                     });
-    if (m != replicas_[p][0]) {
-      // Appendix-B recovery pricing: a non-primary executor re-fetches the
-      // message spills the primary had already received.
-      for (const InboxChunk& chunk : chunks) {
-        if (chunk.src_machine != m) {
-          refetch_bytes_ += chunk.priced_bytes;
-        }
-      }
-    }
-    // Sort-free regroup (runtime/combine_plan.h): counting scatter over the
-    // src-sorted chunk concatenation reproduces the legacy per-message
-    // stable_sort's permutation byte for byte.
-    const auto scatter_start = std::chrono::steady_clock::now();
-    std::vector<Message> grouped;
-    const uint64_t scattered = runtime::GroupChunkedMessages(
-        combine_scratch_, meta.begin, meta.end, chunks, grouped);
-    std::vector<std::pair<uint64_t, Message>> virtual_messages;
-    for (InboxChunk& chunk : chunks) {
-      std::move(chunk.virtuals.begin(), chunk.virtuals.end(),
-                std::back_inserter(virtual_messages));
-    }
-    combine_scatter_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      scatter_start)
-            .count();
-    combine_messages_scattered_ += scattered;
-    // Park consumed chunks on the freelist (capacity kept) instead of the
-    // legacy clear + shrink_to_fit churn.
-    for (InboxChunk& chunk : chunks) {
-      if (chunk_pool_.size() >= kChunkPoolCap) {
-        break;
-      }
-      chunk.real.clear();
-      chunk.virtuals.clear();
-      chunk_pool_.push_back(std::move(chunk));
-    }
-    chunks.clear();
-
-    // Frontier gating: silent vertices of a SilentVertexSkippableApp skip
-    // the Combine call (identity by the app's contract) but still commit
-    // states_[v] into next_states_, which ReplicateState snapshots whole.
-    bool gate = false;
-    if constexpr (SilentVertexSkippableApp<App>) {
-      gate = config_.frontier_gating;
-    }
-    std::vector<Message> vertex_messages;
-    for (VertexId v = meta.begin; v < meta.end; ++v) {
-      const size_t i = static_cast<size_t>(v - meta.begin);
-      if (gate && !combine_scratch_.Received(i)) {
-        next_states_[v] = states_[v];
-        ++frontier_vertices_skipped_;
-        continue;
-      }
-      vertex_messages.clear();
-      for (size_t j = combine_scratch_.RunBegin(i),
-                  end = combine_scratch_.RunEnd(i);
-           j < end; ++j) {
-        vertex_messages.push_back(std::move(grouped[j]));
-      }
-      VertexState state = states_[v];
-      app_.Combine(v, state, g.OutNeighbors(v), vertex_messages);
-      next_states_[v] = state;
-    }
-    combine_scratch_.Reset();
+    // Deferred commit: combine a copy of the committed states in
+    // next_states_. A vertex the frontier gate skips keeps the copied value,
+    // which ReplicateState snapshots with the rest of the range.
+    std::copy(states_.begin() + meta.begin, states_.begin() + meta.end,
+              next_states_.begin() + meta.begin);
+    const auto tally =
+        kernel_->Combine(0, p, m, replicas_[p][0], next_states_);
+    refetch_bytes_ += tally.refetch_bytes;
+    combine_scatter_seconds_ += tally.scatter_s;
+    combine_messages_scattered_ += tally.scattered;
+    frontier_vertices_skipped_ += tally.skipped;
     dirty_[p] = 1;
     state_version_[p] = round.iteration;
-
-    std::vector<std::pair<uint64_t, VirtualOutput>> virtual_results;
-    if constexpr (VirtualVertexApp<App>) {
-      runtime::GroupVirtualMessages(vgroup_scratch_, virtual_messages,
-                                    virtual_grouped_);
-      std::vector<Message> group;
-      for (size_t i = 0; i < vgroup_scratch_.ids.size(); ++i) {
-        const uint64_t id = vgroup_scratch_.ids[i];
-        group.clear();
-        for (size_t j = vgroup_scratch_.offsets[i],
-                    end = vgroup_scratch_.offsets[i + 1];
-             j < end; ++j) {
-          group.push_back(std::move(virtual_grouped_[j]));
-        }
-        virtual_results.emplace_back(id, app_.CombineVirtual(id, group));
-      }
-      for (const auto& [id, output] : virtual_results) {
-        virtual_acc_[id] = {round.iteration, output};
-      }
+    const auto& virtual_results = kernel_->virtual_results(p);
+    for (const auto& [id, output] : virtual_results) {
+      virtual_acc_[id] = {round.iteration, output};
     }
     if (fault_tolerant_) {
       // Replicate *before* TASK_DONE: once the coordinator marks p done, a
@@ -793,23 +663,15 @@ class DistributedWorker {
       }
       ShipBatch(std::move(batch), /*resend=*/true, /*retain=*/false);
     };
+    typename runtime::WireBatchReader<Message>::Segment segment;
     for (const runtime::WireBatch& batch : retained_) {
+      runtime::WireBatchReader<Message> reader(batch,
+                                               graph_->encoding().starts());
       const uint8_t* base = batch.payload.data();
-      size_t offset = 0;
-      while (offset + sizeof(runtime::WireSegmentHeader) <=
-             batch.payload.size()) {
-        const auto header =
-            runtime::ReadPod<runtime::WireSegmentHeader>(base + offset);
-        const size_t record_bytes =
-            (header.kind == runtime::kWireSegmentReal ? sizeof(VertexId)
-                                                      : sizeof(uint64_t)) +
-            sizeof(Message);
-        const size_t segment_bytes = sizeof(runtime::WireSegmentHeader) +
-                                     static_cast<size_t>(header.count) *
-                                         record_bytes;
-        if (offset + segment_bytes > batch.payload.size()) {
-          break;  // malformed retention; drop the tail rather than misparse
-        }
+      size_t begin = 0;
+      while (reader.NextInto(segment)) {
+        const size_t end = reader.offset();
+        const runtime::WireSegmentHeader& header = segment.header;
         const MachineId target = header.dst_partition < round.route.size()
                                      ? round.route[header.dst_partition]
                                      : kInvalidMachine;
@@ -825,7 +687,7 @@ class DistributedWorker {
           }
           runtime::WireBatch& out = it->second;
           if (!out.payload.empty() &&
-              out.payload.size() + segment_bytes >
+              out.payload.size() + (end - begin) >
                   options_.wire.max_batch_bytes) {
             runtime::WireBatch full = std::move(out);
             out = runtime::WireBatch{};
@@ -834,13 +696,15 @@ class DistributedWorker {
             out.payload = pool_->Acquire();
             ship(std::move(full));
           }
-          out.payload.insert(out.payload.end(), base + offset,
-                             base + offset + segment_bytes);
+          out.payload.insert(out.payload.end(), base + begin, base + end);
           out.num_segments += 1;
           out.num_messages += header.count;
           out.priced_bytes += header.priced_bytes;
         }
-        offset += segment_bytes;
+        begin = end;
+      }
+      if (!reader.status().ok()) {
+        Die();  // retention holds this worker's own sends
       }
     }
     for (auto& [key, batch] : open) {
@@ -855,25 +719,6 @@ class DistributedWorker {
   /// later death in this same iteration still finds a complete copy here.
   /// Two stagers keep rebuilt and retain-only streams in separate batches.
   void ReexecTransfer(PartitionId q, MachineId m, const RoundMsg& round) {
-    const Graph& g = graph_->encoded_graph();
-    const PartitionMeta& meta = graph_->partition(q);
-    std::vector<std::vector<std::pair<VertexId, Message>>> real_out(
-        num_partitions_);
-    std::vector<std::vector<std::pair<uint64_t, Message>>> virtual_out(
-        num_partitions_);
-    PropagationEmitter<Message> emitter;
-    for (VertexId v = meta.begin; v < meta.end; ++v) {
-      app_.Transfer(v, states_[v], g.OutNeighbors(v), emitter);
-      emitter.Drain(
-          [&](VertexId target, Message message) {
-            real_out[graph_->PartitionOf(target)].emplace_back(
-                target, std::move(message));
-          },
-          [&](uint64_t target, Message message) {
-            virtual_out[target % num_partitions_].emplace_back(
-                target, std::move(message));
-          });
-    }
     runtime::WireStager<App> send_stager(&app_, options_.wire, pool_.get(), m,
                                          num_machines_, wire_combine_);
     runtime::WireStager<App> retain_stager(&app_, options_.wire, pool_.get(),
@@ -886,19 +731,16 @@ class DistributedWorker {
       pool_->Release(std::move(batch.payload));
       return 0.0;
     };
-    for (PartitionId dst = 0; dst < num_partitions_; ++dst) {
-      if (real_out[dst].empty() && virtual_out[dst].empty()) {
-        continue;
-      }
-      const MachineId target = round.route[dst];
-      if (target != kInvalidMachine) {
-        send_stager.StageTask(q, dst, target, real_out[dst], virtual_out[dst],
-                              send);
-      } else {
-        retain_stager.StageTask(q, dst, replicas_[dst][0], real_out[dst],
-                                virtual_out[dst], retain_only);
-      }
-    }
+    kernel_->Transfer(
+        0, q, states_, [&](PartitionId dst, auto& real, auto& virtuals) {
+          const MachineId target = round.route[dst];
+          if (target != kInvalidMachine) {
+            send_stager.StageTask(q, dst, target, real, virtuals, send);
+          } else {
+            retain_stager.StageTask(q, dst, replicas_[dst][0], real, virtuals,
+                                    retain_only);
+          }
+        });
     send_stager.FlushAll(send);
     retain_stager.FlushAll(retain_only);
   }
@@ -910,12 +752,7 @@ class DistributedWorker {
   /// the exit waits until every sent frame is acknowledged as *consumed* by
   /// its peer — closing earlier could RST away kernel-buffered output.
   [[noreturn]] void FaultExit() {
-    for (auto& [m, stager] : stagers_) {
-      stager.FlushAll([&](runtime::WireBatch&& batch) {
-        return ShipBatch(std::move(batch), /*resend=*/false, /*retain=*/true);
-      });
-    }
-    (void)transport_.WaitDataAcked();
+    FlushAndAwaitAcks();
     transport_.CloseAll();
     ::_exit(2);
   }
@@ -924,12 +761,7 @@ class DistributedWorker {
   /// exit cleanly. The coordinator treats the EOF like any machine death and
   /// recovers hosted partitions on their replicas.
   [[noreturn]] void GracefulExit() {
-    for (auto& [m, stager] : stagers_) {
-      stager.FlushAll([&](runtime::WireBatch&& batch) {
-        return ShipBatch(std::move(batch), /*resend=*/false, /*retain=*/true);
-      });
-    }
-    (void)transport_.WaitDataAcked();
+    FlushAndAwaitAcks();
     WriteArtifacts();
     transport_.CloseAll();
     ::_exit(0);
@@ -1003,14 +835,7 @@ class DistributedWorker {
     stats.messages_sent = messages_sent_;
     stats.buffers_sent = buffers_sent_;
     for (const auto& [m, stager] : stagers_) {
-      const runtime::WireStagerStats& ws = stager.stats();
-      stats.wire_batches_sent += ws.batches_sealed;
-      stats.wire_segments_sent += ws.segments_sealed;
-      stats.wire_payload_bytes += ws.payload_bytes;
-      stats.wire_messages_combined += ws.messages_combined;
-      stats.wire_flush_size += ws.flush_size;
-      stats.wire_flush_deadline += ws.flush_deadline;
-      stats.wire_flush_stage_end += ws.flush_stage_end;
+      runtime::AddWireStagerStats(stager.stats(), stats);
     }
     const runtime::WireBufferPool::Stats pool = pool_->stats();
     stats.pool_buffers_acquired = pool.acquires;
@@ -1054,15 +879,7 @@ class DistributedWorker {
     stats.messages_sent = messages_sent_;
     stats.buffers_sent = buffers_sent_;
     for (const auto& [m, stager] : stagers_) {
-      const runtime::WireStagerStats& ws = stager.stats();
-      stats.wire_batches_sent += ws.batches_sealed;
-      stats.wire_segments_sent += ws.segments_sealed;
-      stats.wire_payload_bytes += ws.payload_bytes;
-      stats.wire_messages_combined += ws.messages_combined;
-      stats.wire_flush_size += ws.flush_size;
-      stats.wire_flush_deadline += ws.flush_deadline;
-      stats.wire_flush_stage_end += ws.flush_stage_end;
-      stats.batch_fill.Merge(ws.batch_fill);
+      runtime::AddWireStagerStats(stager.stats(), stats);
     }
     const runtime::WireBufferPool::Stats pool = pool_->stats();
     stats.pool_buffers_acquired = pool.acquires;
@@ -1167,15 +984,8 @@ class DistributedWorker {
   std::vector<VertexState> next_states_;
   std::vector<uint8_t> dirty_;            ///< partition combined/updated
   std::vector<int32_t> state_version_;    ///< iteration of last combine, -1 none
-  std::vector<std::vector<InboxChunk>> inboxes_;
-  /// Regroup scratch (runtime/combine_plan.h) and the recycled-chunk
-  /// freelist. The worker loop runs one task at a time, so one scratch of
-  /// each kind serves every hosted partition.
-  runtime::CombineScratch combine_scratch_;
-  runtime::VirtualGroupScratch vgroup_scratch_;
-  std::vector<Message> virtual_grouped_;
-  std::vector<InboxChunk> chunk_pool_;
-  static constexpr size_t kChunkPoolCap = 256;
+  /// The worker loop runs one task at a time: one kernel thread slot (0).
+  std::unique_ptr<runtime::PartitionKernel<App>> kernel_;
   /// id -> (iteration of last update, output); the coordinator-side merge
   /// keeps the max-iteration entry across processes.
   std::map<uint64_t, std::pair<int32_t, VirtualOutput>> virtual_acc_;
@@ -1228,7 +1038,7 @@ class DistributedWorker {
 /// process per machine group, lets DistributedCoordinator drive the BSP
 /// rounds over the control plane, then assembles the version-merged final
 /// states and the cluster-wide stats. Mirrors RuntimeExecutor's public
-/// surface so core::RunApp can treat the two engines uniformly.
+/// surface so Engine::Run can treat the two engines uniformly.
 template <typename App>
   requires DistributableApp<App>
 class DistributedExecutor {
@@ -1249,7 +1059,8 @@ class DistributedExecutor {
         options_(std::move(options)) {}
 
   Status Run() {
-    SURFER_RETURN_IF_ERROR(Validate());
+    SURFER_RETURN_IF_ERROR(
+        ValidateEngineInputs(graph_, placement_, topology_, config_));
     const auto wall_start = std::chrono::steady_clock::now();
     const uint32_t num_machines = topology_->num_machines();
     const uint32_t num_processes =
@@ -1311,25 +1122,6 @@ class DistributedExecutor {
   const obs::JsonValue& cluster_report() const { return cluster_report_; }
 
  private:
-  Status Validate() const {
-    if (graph_ == nullptr || placement_ == nullptr || topology_ == nullptr) {
-      return Status::InvalidArgument("executor inputs must be non-null");
-    }
-    if (placement_->num_partitions() != graph_->num_partitions()) {
-      return Status::InvalidArgument(
-          "placement partition count does not match graph");
-    }
-    if (config_.iterations < 1) {
-      return Status::InvalidArgument("iterations must be >= 1");
-    }
-    for (PartitionId p = 0; p < placement_->num_partitions(); ++p) {
-      if (placement_->primary(p) >= topology_->num_machines()) {
-        return Status::InvalidArgument("placement machine out of range");
-      }
-    }
-    return Status::OK();
-  }
-
   PlacementMsg BuildPlacementMsg(uint32_t num_machines) const {
     PlacementMsg msg;
     msg.num_machines = num_machines;
@@ -1358,12 +1150,7 @@ class DistributedExecutor {
   Status Assemble(const CoordinatorOutcome& outcome, uint32_t num_processes,
                   uint32_t num_machines) {
     // Baseline, then overlay each partition's highest-version final state.
-    const Graph& g = graph_->encoded_graph();
-    states_.clear();
-    states_.reserve(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      states_.push_back(app_.InitState(v, g.OutNeighbors(v)));
-    }
+    states_ = InitialStates(app_, *graph_);
     std::vector<int32_t> best(graph_->num_partitions(), -1);
     for (const FinalStateMsg& msg : outcome.states) {
       if (msg.partition >= best.size() || msg.version <= best[msg.partition]) {

@@ -22,6 +22,7 @@
 #include "propagation/app_traits.h"
 #include "propagation/cascade.h"
 #include "propagation/config.h"
+#include "propagation/engine_inputs.h"
 #include "runtime/combine_plan.h"
 #include "storage/partitioned_graph.h"
 #include "storage/replication.h"
@@ -80,8 +81,9 @@ class PropagationRunner {
   /// Runs on an externally owned simulation (fault-injection experiments,
   /// job composition); metrics accumulate into `sim`.
   Status RunWith(JobSimulation* sim) {
-    SURFER_RETURN_IF_ERROR(Validate());
-    InitializeStates();
+    SURFER_RETURN_IF_ERROR(
+        ValidateEngineInputs(graph_, placement_, topology_, config_));
+    states_ = InitialStates(app_, *graph_);
     virtual_outputs_.clear();
     counters_ = PropagationCounters{};
     const uint32_t num_machines = topology_->num_machines();
@@ -135,34 +137,6 @@ class PropagationRunner {
   }
 
  private:
-  Status Validate() const {
-    if (graph_ == nullptr || placement_ == nullptr || topology_ == nullptr) {
-      return Status::InvalidArgument("runner inputs must be non-null");
-    }
-    if (placement_->num_partitions() != graph_->num_partitions()) {
-      return Status::InvalidArgument(
-          "placement partition count does not match graph");
-    }
-    if (config_.iterations < 1) {
-      return Status::InvalidArgument("iterations must be >= 1");
-    }
-    for (PartitionId p = 0; p < placement_->num_partitions(); ++p) {
-      if (placement_->primary(p) >= topology_->num_machines()) {
-        return Status::InvalidArgument("placement machine out of range");
-      }
-    }
-    return Status::OK();
-  }
-
-  void InitializeStates() {
-    const Graph& g = graph_->encoded_graph();
-    states_.clear();
-    states_.reserve(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      states_.push_back(app_.InitState(v, g.OutNeighbors(v)));
-    }
-  }
-
   /// True when this vertex's work in `iteration` is elided from disk
   /// accounting by cascaded propagation (its value for this iteration was
   /// already computed during an earlier scan of the phase). The phase length

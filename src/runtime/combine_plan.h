@@ -115,8 +115,8 @@ struct VirtualGroupScratch {
 
 /// Mutex-guarded freelist of CombineScratch objects for engines that run
 /// combine tasks on pool threads (the sequential runner's ParallelFor);
-/// the concurrent executor instead keeps one scratch per partition so it
-/// can count incrementally at chunk arrival.
+/// the partition kernel instead keeps one scratch per partition so it can
+/// count incrementally at chunk arrival.
 class CombineScratchPool {
  public:
   CombineScratch Acquire();
@@ -147,31 +147,6 @@ void GroupMessagesByVertex(CombineScratch& scratch, VertexId begin,
   for (auto& [target, message] : records) {
     grouped[scratch.PlaceIndex(target)] = std::move(message);
   }
-}
-
-/// Chunked variant: `chunks` is any range of holders exposing `.real`
-/// record vectors whose concatenation is the sequential stream order (the
-/// engines stable-sort chunks by src partition first). Returns the total
-/// number of records scattered.
-template <typename Message, typename Chunks>
-uint64_t GroupChunkedMessages(CombineScratch& scratch, VertexId begin,
-                              VertexId end, Chunks& chunks,
-                              std::vector<Message>& grouped) {
-  scratch.BeginRange(begin, end);
-  for (auto& chunk : chunks) {
-    for (const auto& record : chunk.real) {
-      scratch.Count(record.first);
-    }
-  }
-  scratch.FinishCounts();
-  grouped.clear();
-  grouped.resize(static_cast<size_t>(scratch.total()));
-  for (auto& chunk : chunks) {
-    for (auto& [target, message] : chunk.real) {
-      grouped[scratch.PlaceIndex(target)] = std::move(message);
-    }
-  }
-  return scratch.total();
 }
 
 /// Virtual-vertex regroup: ranks the distinct IDs of `records` (ascending),

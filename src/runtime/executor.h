@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cluster/topology.h"
+#include "common/logging.h"
 #include "common/result.h"
 #include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
@@ -22,11 +23,12 @@
 #include "obs/trace_shard.h"
 #include "propagation/app_traits.h"
 #include "propagation/config.h"
+#include "propagation/engine_inputs.h"
 #include "runtime/barrier.h"
 #include "runtime/channel.h"
 #include "runtime/channel_plan.h"
-#include "runtime/combine_plan.h"
 #include "runtime/fault.h"
+#include "runtime/partition_kernel.h"
 #include "runtime/stats.h"
 #include "runtime/timeline.h"
 #include "runtime/wire_batch.h"
@@ -53,8 +55,8 @@ struct RuntimeOptions {
   /// is still admitted once the queue is empty (progress guarantee), so a
   /// tiny window maximizes backpressure without deadlocking.
   size_t channel_window_bytes = kDefaultChannelWindowBytes;
-  /// Wire-plane staging knobs: batch size cap, flush deadline, and the
-  /// wire-level local combination toggle (see WireBatchOptions).
+  /// Wire-plane staging knobs: batch size cap and flush deadline (see
+  /// WireBatchOptions).
   WireBatchOptions wire;
   /// Ring slots of each worker's SPSC trace shard (rounded up to a power of
   /// two). Per-task profiling events overflow into drop counts, never into
@@ -74,29 +76,26 @@ struct RuntimeOptions {
 /// of the analytic PropagationRunner.
 ///
 /// One worker thread per simulated machine runs that machine's Transfer and
-/// Combine tasks. Messages travel as serialized WireBatches: each machine's
-/// WireStager packs its outbound (src partition -> dst partition) streams
-/// into pooled per-destination-machine byte buffers, performing wire-level
-/// local combination at seal time, and ships them through bounded channels
-/// whose byte capacities mirror the topology's bandwidth matrix; a barrier
-/// separates the BSP supersteps. The executor's contract, asserted by
-/// tests/runtime_test.cc, is *bit-identical* results to the sequential
-/// runner at every optimization level:
-///   - each Combine sees its messages in the exact sequential order. The
-///     sequential runner fills a partition's inbox in ascending source
-///     partition order (its own local buffer landing at the src == dst
-///     slot) and then stable-sorts by target. On the wire, a (src, dst)
-///     stream may be chunked across batches by size/deadline flushes, but
-///     only one machine ever produces a given stream (tasks are atomic) and
-///     channels are FIFO, so chunks arrive in emission order; the receiver
-///     stable-sorts its chunks by src, concatenates, and applies the same
-///     target sort;
+/// Combine tasks through the shared PartitionKernel. Messages travel as
+/// serialized WireBatches: each machine's WireStager packs its outbound
+/// (src partition -> dst partition) streams into pooled per-destination-
+/// machine byte buffers, performing wire-level local combination at seal
+/// time, and ships them through bounded channels whose byte capacities
+/// mirror the topology's bandwidth matrix; a barrier separates the BSP
+/// supersteps. The executor's contract, asserted by tests/runtime_test.cc,
+/// is *bit-identical* results to the sequential runner at every
+/// optimization level:
+///   - each Combine sees its messages in the exact sequential order (the
+///     ordering argument is PartitionKernel's; channels are FIFO);
 ///   - wire combination merges a task's complete per-stream records before
 ///     pricing or serializing any of them (WireStager::StageTask), so a
 ///     merged stream carries at most one message per target per source and
 ///     chunking never changes the priced byte count;
 ///   - cascaded propagation and memory limits change the *accounted* cost
 ///     only, so the runtime ignores them without affecting results.
+///
+/// Its kernel policies: Combine updates states_ in place, sealed batches go
+/// to SendBatch, and refetches are priced against the placement's primary.
 ///
 /// Fault injection follows Appendix B at task granularity: a machine killed
 /// mid-stage keeps the buffers of tasks it completed (its disk replicas
@@ -128,7 +127,8 @@ class RuntimeExecutor {
   /// Executes config.iterations supersteps. Fails when every replica of a
   /// partition is dead (the job is unrecoverable, as in Appendix B).
   Status Run() {
-    SURFER_RETURN_IF_ERROR(Validate());
+    SURFER_RETURN_IF_ERROR(
+        ValidateEngineInputs(graph_, placement_, topology_, config_));
     const auto wall_start = std::chrono::steady_clock::now();
     run_start_ = wall_start;
     // Tracer time at the run's start instant: the offset that maps the
@@ -136,7 +136,7 @@ class RuntimeExecutor {
     // when counter events merge into the Chrome trace.
     const double wall_start_tracer_us =
         config_.tracer != nullptr ? config_.tracer->WallNowUs() : 0.0;
-    InitializeStates();
+    states_ = InitialStates(app_, *graph_);
     virtual_outputs_.clear();
     stats_ = RuntimeStats{};
 
@@ -162,11 +162,9 @@ class RuntimeExecutor {
           std::make_unique<BoundedChannel<WireBatch>>(capacities[i]));
     }
     // One stager per machine, touched only by the machine's owner worker.
-    // Wire combination needs the job to allow local combination *and* the
-    // app to be mergeable *and* the wire toggle to be on.
-    const bool wire_combine =
-        config_.local_combination && MergeableApp<App> &&
-        options_.wire.wire_combine;
+    // Wire combination needs the job to allow local combination and the app
+    // to be mergeable.
+    const bool wire_combine = config_.local_combination && MergeableApp<App>;
     pool_ = std::make_unique<WireBufferPool>();
     stagers_.clear();
     stagers_.reserve(num_machines);
@@ -176,9 +174,8 @@ class RuntimeExecutor {
     }
 
     const uint32_t num_partitions = graph_->num_partitions();
-    inboxes_.assign(num_partitions, {});
-    combine_scratch_.assign(num_partitions, CombineScratch{});
-    virtual_results_.assign(num_partitions, {});
+    kernel_ = std::make_unique<PartitionKernel<App>>(
+        app_, *graph_, config_.frontier_gating, num_workers);
     done_.assign(num_partitions, 0);
     alive_.assign(num_machines, 1);
     stage_tasks_done_.assign(num_machines, 0);
@@ -186,7 +183,6 @@ class RuntimeExecutor {
     for (WorkerLocal& local : locals_) {
       local.link_bytes.assign(num_channels, 0);
     }
-    worker_scratch_.assign(num_workers, WorkerScratch{});
     drain_phase_.assign(num_workers, DrainPhase{});
     barrier_ = std::make_unique<BspBarrier>(num_workers + 1);
     phase_ = Phase{};
@@ -194,11 +190,6 @@ class RuntimeExecutor {
     // Telemetry mirrors live whether or not the sampler runs: each is one
     // relaxed atomic touched at batch granularity, so keeping them
     // unconditional avoids a branch on the same paths.
-    inbox_chunk_counts_ =
-        std::make_unique<std::atomic<uint64_t>[]>(num_partitions);
-    for (uint32_t p = 0; p < num_partitions; ++p) {
-      inbox_chunk_counts_[p].store(0, std::memory_order_relaxed);
-    }
     staged_wire_bytes_ =
         std::make_unique<std::atomic<uint64_t>[]>(num_machines);
     for (MachineId m = 0; m < num_machines; ++m) {
@@ -261,11 +252,10 @@ class RuntimeExecutor {
       // Fold this iteration's virtual-vertex outputs in partition order,
       // exactly as the sequential runner does at the end of RunIteration.
       if constexpr (VirtualVertexApp<App>) {
-        for (auto& per_partition : virtual_results_) {
-          for (auto& [id, output] : per_partition) {
+        for (PartitionId p = 0; p < num_partitions; ++p) {
+          for (auto& [id, output] : kernel_->virtual_results(p)) {
             virtual_outputs_[id] = std::move(output);
           }
-          per_partition.clear();
         }
       }
     }
@@ -326,22 +316,6 @@ class RuntimeExecutor {
     std::vector<std::vector<PartitionId>> tasks;
   };
 
-  /// One deserialized wire segment: a contiguous chunk of one
-  /// (src partition -> dst partition) message stream, either real or
-  /// virtual records. A stream may arrive as several chunks when size or
-  /// deadline flushes split it across batches; exactly one machine produces
-  /// a given stream per stage (tasks are atomic under fault injection) and
-  /// channels are FIFO, so within a src the arrival order of chunks is the
-  /// emission order, and a stable sort on src reconstructs the sequential
-  /// inbox.
-  struct InboxChunk {
-    PartitionId src = kInvalidPartition;
-    MachineId src_machine = kInvalidMachine;
-    uint64_t priced_bytes = 0;
-    std::vector<std::pair<VertexId, Message>> real;
-    std::vector<std::pair<uint64_t, Message>> virtuals;
-  };
-
   /// The stage a worker is currently draining for; written by the worker
   /// after the start barrier and read only by that worker inside Drain, so
   /// deserialization time lands in the right superstep slot.
@@ -365,55 +339,6 @@ class RuntimeExecutor {
     Histogram barrier_wait;
     std::vector<uint64_t> link_bytes;
   };
-
-  /// Per-worker reusable buffers (distinct from WorkerLocal, which is pure
-  /// stats): grouped-message output, per-vertex/-group staging vectors, the
-  /// recycled inbox-chunk freelist, and the transfer task's per-destination
-  /// stream buffers. All touched only by their worker, never merged.
-  struct WorkerScratch {
-    std::vector<Message> grouped;          ///< combine placement output
-    std::vector<Message> vertex_messages;  ///< one vertex's message list
-    std::vector<std::pair<uint64_t, Message>> virtual_messages;
-    std::vector<Message> virtual_grouped;
-    std::vector<Message> virtual_group;
-    VirtualGroupScratch vgroups;
-    /// Consumed InboxChunks parked here (record capacity kept) instead of
-    /// the legacy clear + shrink_to_fit, so steady-state deserialization
-    /// allocates nothing. Bounded: overflow chunks just deallocate.
-    std::vector<InboxChunk> chunk_pool;
-    std::vector<std::vector<std::pair<VertexId, Message>>> real_out;
-    std::vector<std::vector<std::pair<uint64_t, Message>>> virtual_out;
-  };
-
-  static constexpr size_t kChunkPoolCap = 256;
-
-  Status Validate() const {
-    if (graph_ == nullptr || placement_ == nullptr || topology_ == nullptr) {
-      return Status::InvalidArgument("executor inputs must be non-null");
-    }
-    if (placement_->num_partitions() != graph_->num_partitions()) {
-      return Status::InvalidArgument(
-          "placement partition count does not match graph");
-    }
-    if (config_.iterations < 1) {
-      return Status::InvalidArgument("iterations must be >= 1");
-    }
-    for (PartitionId p = 0; p < placement_->num_partitions(); ++p) {
-      if (placement_->primary(p) >= topology_->num_machines()) {
-        return Status::InvalidArgument("placement machine out of range");
-      }
-    }
-    return Status::OK();
-  }
-
-  void InitializeStates() {
-    const Graph& g = graph_->encoded_graph();
-    states_.clear();
-    states_.reserve(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      states_.push_back(app_.InitState(v, g.OutNeighbors(v)));
-    }
-  }
 
   double MainBarrier() { return barrier_->ArriveAndWait(); }
 
@@ -527,8 +452,7 @@ class RuntimeExecutor {
               double total = 0.0;
               for (PartitionId p = 0; p < placement_->num_partitions(); ++p) {
                 if (placement_->primary(p) == m) {
-                  total += static_cast<double>(inbox_chunk_counts_[p].load(
-                      std::memory_order_relaxed));
+                  total += static_cast<double>(kernel_->ApproxInboxChunks(p));
                 }
               }
               return total;
@@ -539,8 +463,7 @@ class RuntimeExecutor {
       double total = 0.0;
       const uint32_t num_partitions = graph_->num_partitions();
       for (PartitionId p = 0; p < num_partitions; ++p) {
-        total += static_cast<double>(
-            inbox_chunk_counts_[p].load(std::memory_order_relaxed));
+        total += static_cast<double>(kernel_->ApproxInboxChunks(p));
       }
       return total;
     });
@@ -694,10 +617,7 @@ class RuntimeExecutor {
             // Ship batches whose flush deadline lapsed while the task ran,
             // so a quiet destination is not held hostage to the stage end.
             PhaseSlot(iteration, kind, m).blocked_s +=
-                stagers_[m].FlushExpired(
-                    [&](WireBatch&& batch) {
-                      return SendBatch(std::move(batch), w, local);
-                    });
+                stagers_[m].FlushExpired(SendSink(w, local));
           }
           Drain(w);  // keep inbound channels moving between tasks
         }
@@ -705,9 +625,7 @@ class RuntimeExecutor {
           // Stage-end flush: every batch must be on the wire before the
           // work-done barrier (the runtime's send-completeness contract).
           PhaseSlot(iteration, kind, m).blocked_s +=
-              stagers_[m].FlushAll([&](WireBatch&& batch) {
-                return SendBatch(std::move(batch), w, local);
-              });
+              stagers_[m].FlushAll(SendSink(w, local));
         }
       }
       worker_state_[w].store(0, std::memory_order_relaxed);
@@ -737,9 +655,7 @@ class RuntimeExecutor {
     // the machine dead.
     if (kind == PhaseKind::kTransfer) {
       PhaseSlot(iteration, kind, m).blocked_s +=
-          stagers_[m].FlushAll([&](WireBatch&& batch) {
-            return SendBatch(std::move(batch), w, local);
-          });
+          stagers_[m].FlushAll(SendSink(w, local));
     }
     alive_[m] = 0;
     ++local.machine_failures;
@@ -767,58 +683,15 @@ class RuntimeExecutor {
     }
   }
 
-  /// Unpacks a received batch into inbox chunks and recycles its payload.
-  /// Deserialization cost is booked as serialize time of the *receiving*
-  /// machine in the current stage's slot (single-writer discipline holds:
-  /// d's owner worker is the one draining).
-  ///
-  /// Compute/communicate overlap: each real record is *counted* into the
-  /// destination partition's combine scratch (counts + frontier bits) right
-  /// here, while senders are still computing, so by the time the combine
-  /// task runs only the prefix sum and one O(M) placement pass remain of
-  /// the inbox reconstruction. Counting is order-independent, so arrival
-  /// order does not matter; the placement pass walks chunks in sorted-src
-  /// order and is what fixes the sequential message order.
+  /// Unpacks a received batch into the kernel's inboxes and recycles its
+  /// payload. Deserialization cost is booked as serialize time of the
+  /// *receiving* machine in the current stage's slot (single-writer
+  /// discipline holds: d's owner worker is the one draining).
   void ReceiveBatch(WireBatch batch, MachineId d, uint32_t w) {
     const auto unpack_start = std::chrono::steady_clock::now();
     const double wire_bytes = static_cast<double>(batch.wire_size());
-    WireBatchReader<Message> reader(batch);
-    WorkerScratch& ws = worker_scratch_[w];
-    for (;;) {
-      // Decode into a recycled chunk's record vectors (capacity kept), so
-      // steady-state unpacking allocates nothing.
-      InboxChunk chunk;
-      if (!ws.chunk_pool.empty()) {
-        chunk = std::move(ws.chunk_pool.back());
-        ws.chunk_pool.pop_back();
-      }
-      typename WireBatchReader<Message>::Segment segment;
-      segment.real = std::move(chunk.real);
-      segment.virtuals = std::move(chunk.virtuals);
-      const bool decoded = reader.NextInto(segment);
-      chunk.real = std::move(segment.real);
-      chunk.virtuals = std::move(segment.virtuals);
-      if (!decoded) {
-        if (ws.chunk_pool.size() < kChunkPoolCap) {
-          ws.chunk_pool.push_back(std::move(chunk));
-        }
-        break;
-      }
-      const PartitionId dst = segment.header.dst_partition;
-      chunk.src = segment.header.src_partition;
-      chunk.src_machine = batch.src_machine;
-      chunk.priced_bytes = segment.header.priced_bytes;
-      CombineScratch& plan = combine_scratch_[dst];
-      if (!plan.active()) {
-        const PartitionMeta& meta = graph_->partition(dst);
-        plan.BeginRange(meta.begin, meta.end);
-      }
-      for (const auto& record : chunk.real) {
-        plan.Count(record.first);
-      }
-      inbox_chunk_counts_[dst].fetch_add(1, std::memory_order_relaxed);
-      inboxes_[dst].push_back(std::move(chunk));
-    }
+    // Every batch comes from this run's own stagers: a decode error is a bug.
+    SURFER_CHECK_OK(kernel_->Receive(w, batch));
     pool_->Release(std::move(batch.payload));
     const DrainPhase phase = drain_phase_[w];
     PhaseSeconds& slot = PhaseSlot(phase.iteration, phase.kind, d);
@@ -862,7 +735,15 @@ class RuntimeExecutor {
     return Seconds(std::chrono::steady_clock::now() - stall_start);
   }
 
-  /// Runs the Transfer task of partition p on `exec_machine`. The task body
+  /// Worker w's batch sink (the kernel's sink policy here): SendBatch
+  /// booked against w's tallies.
+  auto SendSink(uint32_t w, WorkerLocal& local) {
+    return [this, w, &local](WireBatch&& batch) {
+      return SendBatch(std::move(batch), w, local);
+    };
+  }
+
+  /// Runs the Transfer task of partition p on `exec_machine`. The kernel
   /// only routes raw emissions into per-destination streams; local
   /// combination, pricing, and serialization all happen at staging time in
   /// the machine's WireStager (which replays the sequential runner's merge
@@ -873,63 +754,17 @@ class RuntimeExecutor {
     // (flushed into the tracer between supersteps), never the tracer mutex.
     const double task_start_us =
         sharded_ != nullptr ? config_.tracer->WallNowUs() : 0.0;
-    const auto compute_start = std::chrono::steady_clock::now();
-    const Graph& g = graph_->encoded_graph();
-    const PartitionMeta& meta = graph_->partition(p);
-    const uint32_t num_partitions = graph_->num_partitions();
-
-    // Raw (emission-order) streams per destination partition, reused across
-    // the worker's tasks (cleared, capacity kept). The whole task
-    // accumulates before anything is staged so wire combination spans the
-    // full stream — the precondition for exact byte reconciliation.
-    WorkerScratch& ws = worker_scratch_[w];
-    auto& real_out = ws.real_out;
-    auto& virtual_out = ws.virtual_out;
-    real_out.resize(num_partitions);
-    virtual_out.resize(num_partitions);
-    for (auto& stream : real_out) {
-      stream.clear();
-    }
-    for (auto& stream : virtual_out) {
-      stream.clear();
-    }
-
-    PropagationEmitter<Message> emitter;
-    for (VertexId v = meta.begin; v < meta.end; ++v) {
-      app_.Transfer(v, states_[v], g.OutNeighbors(v), emitter);
-      emitter.Drain(
-          [&](VertexId target, Message message) {
-            real_out[graph_->PartitionOf(target)].emplace_back(
-                target, std::move(message));
-          },
-          [&](uint64_t target, Message message) {
-            virtual_out[target % num_partitions].emplace_back(
-                target, std::move(message));
-          });
-    }
-    const auto serialize_start = std::chrono::steady_clock::now();
-    double blocked_s = 0.0;
-
-    // Stage every non-empty stream in ascending destination order
-    // (deterministic wire traffic); the stager seals and ships batches as
-    // they fill.
     WireStager<App>& stager = stagers_[exec_machine];
-    for (PartitionId dst = 0; dst < num_partitions; ++dst) {
-      if (real_out[dst].empty() && virtual_out[dst].empty()) {
-        continue;
-      }
-      blocked_s += stager.StageTask(
-          p, dst, placement_->primary(dst), real_out[dst], virtual_out[dst],
-          [&](WireBatch&& batch) {
-            return SendBatch(std::move(batch), w, local);
-          });
-    }
-
-    const auto task_end = std::chrono::steady_clock::now();
+    double blocked_s = 0.0;
+    const auto tally = kernel_->Transfer(
+        w, p, states_, [&](PartitionId dst, auto& real, auto& virtuals) {
+          blocked_s += stager.StageTask(p, dst, placement_->primary(dst), real,
+                                        virtuals, SendSink(w, local));
+        });
     PhaseSeconds& slot = PhaseSlot(iteration, PhaseKind::kTransfer,
                                    exec_machine);
-    slot.compute_s += Seconds(serialize_start - compute_start);
-    slot.serialize_s += Seconds(task_end - serialize_start) - blocked_s;
+    slot.compute_s += tally.emit_s;
+    slot.serialize_s += tally.sink_s - blocked_s;
     slot.blocked_s += blocked_s;
     if (sharded_ != nullptr) {
       sharded_->shard(w).Record(obs::ShardEvent{
@@ -938,153 +773,30 @@ class RuntimeExecutor {
     }
   }
 
-  /// Runs the Combine task of partition p: finishes the sort-free regroup of
-  /// the received chunks (counts were accumulated at arrival) and applies
-  /// Combine per vertex — every vertex for legacy apps, only frontier
-  /// vertices for SilentVertexSkippableApps under gating — then folds
-  /// virtual groups.
+  /// Runs the Combine task of partition p in place on states_. Inbox
+  /// reconstruction (the chunk sort and scatter) is booked as serialize
+  /// time, the Combine calls as compute.
   void RunCombineTask(PartitionId p, MachineId exec_machine, int iteration,
                       uint32_t w, WorkerLocal& local) {
     const double task_start_us =
         sharded_ != nullptr ? config_.tracer->WallNowUs() : 0.0;
-    const auto inbox_start = std::chrono::steady_clock::now();
-    const Graph& g = graph_->encoded_graph();
-    const PartitionMeta& meta = graph_->partition(p);
-    std::vector<InboxChunk>& chunks = inboxes_[p];
-    // Ascending src order recreates the sequential delivery loop (the
-    // partition's own chunks land at the src == p slot automatically). The
-    // sort must be *stable*: a stream split across batches arrives as
-    // several chunks with the same src whose relative (emission) order
-    // carries the sequential message order. Only chunks are sorted (a few
-    // per stage); the per-message sort is gone.
-    std::stable_sort(chunks.begin(), chunks.end(),
-                     [](const InboxChunk& a, const InboxChunk& b) {
-                       return a.src < b.src;
-                     });
-    if (exec_machine != placement_->primary(p)) {
-      // Appendix-B recovery: the replica holder re-fetches the incoming
-      // message spills that the dead primary had already received.
-      for (const InboxChunk& chunk : chunks) {
-        if (chunk.src_machine != exec_machine) {
-          local.refetch_bytes += chunk.priced_bytes;
-        }
-      }
-    }
-
-    // Placement pass of the counting scatter: counts and frontier bits were
-    // built as chunks arrived (ReceiveBatch), so reconstruction is one
-    // prefix sum plus a single O(M) walk of the sorted chunks that drops
-    // each message straight into its grouped position. A stable counting
-    // sort yields the exact permutation of the legacy stable_sort, so
-    // grouped runs are byte-identical to the sequential inbox order.
-    WorkerScratch& ws = worker_scratch_[w];
-    CombineScratch& plan = combine_scratch_[p];
-    if (!plan.active()) {
-      plan.BeginRange(meta.begin, meta.end);  // partition received nothing
-    }
-    const auto scatter_start = std::chrono::steady_clock::now();
-    plan.FinishCounts();
-    std::vector<Message>& grouped = ws.grouped;
-    grouped.clear();
-    grouped.resize(static_cast<size_t>(plan.total()));
-    auto& virtual_messages = ws.virtual_messages;
-    virtual_messages.clear();
-    for (InboxChunk& chunk : chunks) {
-      for (auto& [target, message] : chunk.real) {
-        grouped[plan.PlaceIndex(target)] = std::move(message);
-      }
-      std::move(chunk.virtuals.begin(), chunk.virtuals.end(),
-                std::back_inserter(virtual_messages));
-    }
-    const uint64_t scattered = plan.total();
-    local.combine_scatter_seconds +=
-        Seconds(std::chrono::steady_clock::now() - scatter_start);
-    local.combine_messages_scattered += scattered;
-    RecycleChunks(chunks, ws);
-    inbox_chunk_counts_[p].store(0, std::memory_order_relaxed);
-
-    // Everything up to here reconstructed the sequential inbox from wire
-    // buffers: serialization time. The rest is user compute.
-    const auto compute_start = std::chrono::steady_clock::now();
-    std::vector<Message>& vertex_messages = ws.vertex_messages;
-    const size_t range = plan.range_size();
-    auto combine_vertex = [&](size_t i) {
-      const VertexId v = meta.begin + static_cast<VertexId>(i);
-      vertex_messages.clear();
-      for (size_t j = plan.RunBegin(i), end = plan.RunEnd(i); j < end; ++j) {
-        vertex_messages.push_back(std::move(grouped[j]));
-      }
-      app_.Combine(v, states_[v], g.OutNeighbors(v), vertex_messages);
-    };
-    uint64_t skipped = 0;
-    bool gated = false;
-    if constexpr (SilentVertexSkippableApp<App>) {
-      if (config_.frontier_gating) {
-        // Frontier-gated loop: visit only vertices whose received bit is
-        // set; the app's kSkipSilentVertices contract makes skipping the
-        // rest the identity.
-        gated = true;
-        uint64_t visited = 0;
-        for (size_t i = plan.NextReceived(0); i < range;
-             i = plan.NextReceived(i + 1)) {
-          combine_vertex(i);
-          ++visited;
-        }
-        skipped = static_cast<uint64_t>(range) - visited;
-      }
-    }
-    if (!gated) {
-      for (size_t i = 0; i < range; ++i) {
-        combine_vertex(i);
-      }
-    }
-    local.frontier_vertices_skipped += skipped;
-    plan.Reset();
-
-    if constexpr (VirtualVertexApp<App>) {
-      // Virtual IDs are arbitrary 64-bit values: rank the distinct IDs and
-      // scatter (combine_plan.h) instead of sorting all M records.
-      GroupVirtualMessages(ws.vgroups, virtual_messages, ws.virtual_grouped);
-      std::vector<Message>& group = ws.virtual_group;
-      for (size_t i = 0; i < ws.vgroups.ids.size(); ++i) {
-        const uint64_t id = ws.vgroups.ids[i];
-        group.clear();
-        for (size_t j = ws.vgroups.offsets[i]; j < ws.vgroups.offsets[i + 1];
-             ++j) {
-          group.push_back(std::move(ws.virtual_grouped[j]));
-        }
-        virtual_results_[p].emplace_back(id, app_.CombineVirtual(id, group));
-      }
-    }
-
-    const auto task_end = std::chrono::steady_clock::now();
+    const auto tally = kernel_->Combine(w, p, exec_machine,
+                                        placement_->primary(p), states_);
+    local.refetch_bytes += tally.refetch_bytes;
+    local.combine_scatter_seconds += tally.scatter_s;
+    local.combine_messages_scattered += tally.scattered;
+    local.frontier_vertices_skipped += tally.skipped;
     PhaseSeconds& slot = PhaseSlot(iteration, PhaseKind::kCombine,
                                    exec_machine);
-    slot.serialize_s += Seconds(compute_start - inbox_start);
-    slot.compute_s += Seconds(task_end - compute_start);
-    slot.scatter_messages += static_cast<double>(scattered);
-    slot.frontier_skipped += static_cast<double>(skipped);
+    slot.serialize_s += tally.regroup_s;
+    slot.compute_s += tally.compute_s;
+    slot.scatter_messages += static_cast<double>(tally.scattered);
+    slot.frontier_skipped += static_cast<double>(tally.skipped);
     if (sharded_ != nullptr) {
       sharded_->shard(w).Record(obs::ShardEvent{
           combine_name_id_, exec_machine, task_start_us,
           config_.tracer->WallNowUs() - task_start_us, p});
     }
-  }
-
-  /// Parks consumed chunks on the worker's freelist (record capacity kept)
-  /// instead of the legacy per-task clear + shrink_to_fit churn; overflow
-  /// beyond the cap simply deallocates. The inbox vector itself keeps its
-  /// capacity across iterations.
-  void RecycleChunks(std::vector<InboxChunk>& chunks, WorkerScratch& ws) {
-    for (InboxChunk& chunk : chunks) {
-      if (ws.chunk_pool.size() >= kChunkPoolCap) {
-        break;
-      }
-      chunk.real.clear();
-      chunk.virtuals.clear();
-      ws.chunk_pool.push_back(std::move(chunk));
-    }
-    chunks.clear();
   }
 
   // ------------------------------------------------------------- wrap-up
@@ -1132,15 +844,7 @@ class RuntimeExecutor {
       stats_.channels.push_back(std::move(snapshot));
     }
     for (const WireStager<App>& stager : stagers_) {
-      const WireStagerStats& ws = stager.stats();
-      stats_.wire_batches_sent += ws.batches_sealed;
-      stats_.wire_segments_sent += ws.segments_sealed;
-      stats_.wire_payload_bytes += ws.payload_bytes;
-      stats_.wire_messages_combined += ws.messages_combined;
-      stats_.wire_flush_size += ws.flush_size;
-      stats_.wire_flush_deadline += ws.flush_deadline;
-      stats_.wire_flush_stage_end += ws.flush_stage_end;
-      stats_.batch_fill.Merge(ws.batch_fill);
+      AddWireStagerStats(stager.stats(), stats_);
     }
     if (pool_ != nullptr) {
       const WireBufferPool::Stats pool = pool_->stats();
@@ -1260,13 +964,14 @@ class RuntimeExecutor {
   // (the data-race-freedom discipline TSan verifies):
   //  - phase_: written by main before the start barrier, read by workers
   //    after it releases;
-  //  - done_[p], inboxes_[p], virtual_results_[p]: written by the one worker
-  //    executing/owning that partition this round, read by main (and any
-  //    re-assigned worker) only across a barrier;
-  //  - combine_scratch_[p]: counts/frontier bits written by the drain worker
-  //    of p's primary machine during the transfer stage (same single writer
-  //    as inboxes_[p]), consumed and Reset() by p's combine executor across
-  //    the stage barrier;
+  //  - done_[p]: written by the one worker executing that partition this
+  //    round, read by main (and any re-assigned worker) only across a
+  //    barrier;
+  //  - kernel_'s inbox and combine plan of partition p: written by the drain
+  //    worker of p's primary machine during the transfer stage, consumed by
+  //    p's combine executor across the stage barrier; p's virtual results:
+  //    written by that executor, read by main across a barrier; kernel
+  //    scratch of thread w: touched only by worker w;
   //  - alive_[m], stage_tasks_done_[m]: written solely by m's owner worker
   //    (reset by main between stages, across a barrier);
   //  - states_[v]: written by the Combine executor of v's partition, read
@@ -1276,14 +981,9 @@ class RuntimeExecutor {
   std::vector<uint8_t> done_;
   std::vector<uint8_t> alive_;
   std::vector<uint32_t> stage_tasks_done_;
-  std::vector<std::vector<InboxChunk>> inboxes_;
-  std::vector<CombineScratch> combine_scratch_;
+  std::unique_ptr<PartitionKernel<App>> kernel_;
   std::vector<VertexState> states_;
-  std::vector<std::vector<std::pair<uint64_t, VirtualOutput>>> virtual_results_;
   std::vector<WorkerLocal> locals_;
-  /// worker_scratch_[w]: pooled regroup/output buffers touched only by
-  /// worker w (same discipline as drain_phase_[w]).
-  std::vector<WorkerScratch> worker_scratch_;
   std::vector<DrainPhase> drain_phase_;
 
   //  - step_phases_[step][m]: written solely by m's owner worker during that
@@ -1301,8 +1001,7 @@ class RuntimeExecutor {
   // sampler thread; the recorder itself stops before Run returns, so its
   // providers never outlive the structures they read.
   std::unique_ptr<obs::TelemetryRecorder> telemetry_;
-  std::unique_ptr<std::atomic<uint64_t>[]> inbox_chunk_counts_;  ///< per part.
-  std::unique_ptr<std::atomic<uint64_t>[]> staged_wire_bytes_;   ///< per mach.
+  std::unique_ptr<std::atomic<uint64_t>[]> staged_wire_bytes_;  ///< per mach.
   std::unique_ptr<std::atomic<uint32_t>[]> worker_state_;  ///< PhaseKind or 0
   std::chrono::steady_clock::time_point run_start_;
 

@@ -8,12 +8,15 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/status.h"
 #include "graph/types.h"
 #include "propagation/app_traits.h"
 
@@ -31,13 +34,10 @@ concept WireSerializableApp =
 /// Tuning knobs of the wire plane. Batches seal when they reach
 /// `max_batch_bytes` (size flush), when they have been open longer than
 /// `flush_deadline_seconds` (deadline flush, checked between tasks), or at
-/// the end of a machine's stage work (stage-end flush). `wire_combine`
-/// gates the seal-time local combination for MergeableApps; the combination
-/// still only runs when the job's PropagationConfig enables it.
+/// the end of a machine's stage work (stage-end flush).
 struct WireBatchOptions {
   size_t max_batch_bytes = 64 << 10;
   double flush_deadline_seconds = 0.002;
-  bool wire_combine = true;
 };
 
 /// A sealed chunk of wire traffic between two machines: the unit of channel
@@ -132,7 +132,14 @@ class WireBufferPool {
 };
 
 /// Decodes a batch payload segment by segment. The reader copies records out
-/// into typed vectors (the executor moves them straight into inbox chunks).
+/// into typed vectors (the partition kernel moves them straight into inbox
+/// chunks).
+///
+/// Payloads can come from another process, so decoding never trusts them: a
+/// partial segment header, a `count` that overruns the payload, or an
+/// unknown `kind` stops the reader with Corruption. Given the P+1 partition
+/// fenceposts (VertexEncoding::starts()), it also rejects a destination
+/// partition >= P and a real target outside the destination's vertex range.
 template <typename Message>
 class WireBatchReader {
   static_assert(std::is_trivially_copyable_v<Message>);
@@ -144,7 +151,10 @@ class WireBatchReader {
     std::vector<std::pair<uint64_t, Message>> virtuals;
   };
 
-  explicit WireBatchReader(const WireBatch& batch) : batch_(batch) {}
+  /// Borrows `batch` and `partition_starts`; both must outlive the reader.
+  explicit WireBatchReader(const WireBatch& batch,
+                           std::span<const VertexId> partition_starts = {})
+      : batch_(batch), starts_(partition_starts) {}
 
   std::optional<Segment> Next() {
     Segment segment;
@@ -155,30 +165,59 @@ class WireBatchReader {
   }
 
   /// Decode-into variant that reuses the segment's record-vector capacity:
-  /// the executor feeds recycled inbox-chunk buffers through this, so after
+  /// the kernel feeds recycled inbox-chunk buffers through this, so after
   /// warm-up deserialization performs no per-segment allocation. Returns
-  /// false (with both vectors cleared) once the payload is exhausted.
+  /// false (with both vectors cleared) at the end of the payload or at the
+  /// first malformed segment; status() tells the two apart.
   bool NextInto(Segment& segment) {
     segment.real.clear();
     segment.virtuals.clear();
-    if (offset_ >= batch_.payload.size()) {
+    const size_t size = batch_.payload.size();
+    if (!status_.ok() || offset_ == size) {
       return false;
     }
+    if (size - offset_ < sizeof(WireSegmentHeader)) {
+      return Fail("truncated segment header, bytes left:", size - offset_);
+    }
     const uint8_t* base = batch_.payload.data();
-    segment.header = ReadPod<WireSegmentHeader>(base + offset_);
+    const auto header = ReadPod<WireSegmentHeader>(base + offset_);
+    const bool real = header.kind == kWireSegmentReal;
+    if (!real && header.kind != kWireSegmentVirtual) {
+      return Fail("unknown segment kind", header.kind);
+    }
+    const size_t record_bytes =
+        (real ? sizeof(VertexId) : sizeof(uint64_t)) + sizeof(Message);
+    if (header.count >
+        (size - offset_ - sizeof(WireSegmentHeader)) / record_bytes) {
+      return Fail("segment overruns the payload, records claimed:",
+                  header.count);
+    }
+    const bool bounded = !starts_.empty();
+    if (bounded && header.dst_partition >= starts_.size() - 1) {
+      return Fail("destination partition out of range:",
+                  header.dst_partition);
+    }
+    segment.header = header;
     offset_ += sizeof(WireSegmentHeader);
-    if (segment.header.kind == kWireSegmentReal) {
-      segment.real.reserve(segment.header.count);
-      for (uint32_t i = 0; i < segment.header.count; ++i) {
+    // Both reserves are bounded: count fits in the bytes left.
+    if (real) {
+      const VertexId lo = bounded ? starts_[header.dst_partition] : 0;
+      const VertexId hi = bounded ? starts_[header.dst_partition + 1] : 0;
+      segment.real.reserve(header.count);
+      for (uint32_t i = 0; i < header.count; ++i) {
         const VertexId target = ReadPod<VertexId>(base + offset_);
+        if (bounded && (target < lo || target >= hi)) {
+          segment.real.clear();
+          return Fail("real target outside its destination partition:",
+                      target);
+        }
         offset_ += sizeof(VertexId);
-        segment.real.emplace_back(target,
-                                  ReadPod<Message>(base + offset_));
+        segment.real.emplace_back(target, ReadPod<Message>(base + offset_));
         offset_ += sizeof(Message);
       }
     } else {
-      segment.virtuals.reserve(segment.header.count);
-      for (uint32_t i = 0; i < segment.header.count; ++i) {
+      segment.virtuals.reserve(header.count);
+      for (uint32_t i = 0; i < header.count; ++i) {
         const uint64_t target = ReadPod<uint64_t>(base + offset_);
         offset_ += sizeof(uint64_t);
         segment.virtuals.emplace_back(target,
@@ -189,9 +228,26 @@ class WireBatchReader {
     return true;
   }
 
+  /// OK through the clean end of the payload; Corruption once NextInto met
+  /// a malformed segment (the reader then stays stopped).
+  const Status& status() const { return status_; }
+
+  /// Payload bytes consumed: the end of the last decoded segment.
+  size_t offset() const { return offset_; }
+
  private:
+  /// Stops the reader. Out of line and cold, so the decode loop stays small.
+  [[gnu::noinline, gnu::cold]] bool Fail(const char* what, uint64_t value) {
+    status_ = Status::Corruption("wire batch byte " +
+                                 std::to_string(offset_) + ": " + what + " " +
+                                 std::to_string(value));
+    return false;
+  }
+
   const WireBatch& batch_;
+  std::span<const VertexId> starts_;
   size_t offset_ = 0;
+  Status status_;
 };
 
 /// Wire-plane counters of one staging machine, merged into RuntimeStats
@@ -207,6 +263,23 @@ struct WireStagerStats {
   uint64_t flush_stage_end = 0;
   Histogram batch_fill;             ///< payload/max_batch_bytes at each seal
 };
+
+/// Adds one stager's counters into an engine's wire_* totals: RuntimeStats,
+/// or the distributed WorkerStatsMsg, which has the same fields except the
+/// batch-fill histogram.
+template <typename Totals>
+void AddWireStagerStats(const WireStagerStats& ws, Totals& totals) {
+  totals.wire_batches_sent += ws.batches_sealed;
+  totals.wire_segments_sent += ws.segments_sealed;
+  totals.wire_payload_bytes += ws.payload_bytes;
+  totals.wire_messages_combined += ws.messages_combined;
+  totals.wire_flush_size += ws.flush_size;
+  totals.wire_flush_deadline += ws.flush_deadline;
+  totals.wire_flush_stage_end += ws.flush_stage_end;
+  if constexpr (requires { totals.batch_fill; }) {
+    totals.batch_fill.Merge(ws.batch_fill);
+  }
+}
 
 /// Serializes one machine's outbound message streams into pooled WireBatch
 /// payloads, one open batch per destination machine. Accessed only by the

@@ -88,63 +88,61 @@ TEST(CombinePlanTest, ScatterMatchesStableSortOnRandomDuplicateHeavyInputs) {
   }
 }
 
+// Groups `chunks` the way the engines do: count every record at arrival (here
+// in reverse, since counting order must not matter), then place chunk by chunk
+// in sorted-chunk order. Checks the result against the stable sort of the
+// concatenated chunks.
+void ExpectCountedGroupingMatchesReference(
+    VertexId begin, VertexId end,
+    const std::vector<std::vector<std::pair<VertexId, Tagged>>>& chunks) {
+  std::vector<std::pair<VertexId, Tagged>> flat;
+  for (const auto& chunk : chunks) {
+    flat.insert(flat.end(), chunk.begin(), chunk.end());
+  }
+  CombineScratch scratch;
+  scratch.BeginRange(begin, end);
+  for (auto it = flat.rbegin(); it != flat.rend(); ++it) {
+    scratch.Count(it->first);
+  }
+  scratch.FinishCounts();
+  ASSERT_EQ(scratch.total(), flat.size());
+  std::vector<Tagged> grouped(flat.size());
+  for (const auto& chunk : chunks) {
+    for (const auto& [target, payload] : chunk) {
+      grouped[scratch.PlaceIndex(target)] = payload;
+    }
+  }
+  const std::vector<Tagged> expected = ReferenceGroup(flat);
+  ASSERT_EQ(grouped.size(), expected.size());
+  for (size_t i = 0; i < grouped.size(); ++i) {
+    ASSERT_EQ(grouped[i], expected[i]) << "pos " << i;
+  }
+}
+
 TEST(CombinePlanTest, ChunkedScatterMatchesConcatenatedReference) {
+  // Streams split into 3-6 chunks whose concatenation is the sequential order.
   std::mt19937 rng(11);
-  struct Chunk {
-    std::vector<std::pair<VertexId, Tagged>> real;
-  };
+  uint64_t serial = 0;
   for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE(round);
     const VertexId begin = 5;
     const VertexId end = begin + 64 + round;
-    std::vector<Chunk> chunks(3 + round % 4);
-    std::vector<std::pair<VertexId, Tagged>> flat;
-    uint64_t serial = 0;
-    for (Chunk& chunk : chunks) {
-      std::uniform_int_distribution<VertexId> target(begin, end - 1);
-      const size_t n = 1 + (rng() % 300);
-      for (size_t i = 0; i < n; ++i) {
-        chunk.real.emplace_back(target(rng), Tagged{serial++, 0.0});
+    std::vector<std::vector<std::pair<VertexId, Tagged>>> chunks(3 + round % 4);
+    for (auto& chunk : chunks) {
+      chunk = RandomRecords(rng, begin, end, 1 + rng() % 300);
+      for (auto& record : chunk) {
+        record.second.serial = serial++;  // unique across chunks
       }
-      flat.insert(flat.end(), chunk.real.begin(), chunk.real.end());
     }
-    const std::vector<Tagged> expected = ReferenceGroup(flat);
-
-    CombineScratch scratch;
-    std::vector<Tagged> grouped;
-    const uint64_t scattered =
-        GroupChunkedMessages(scratch, begin, end, chunks, grouped);
-    EXPECT_EQ(scattered, flat.size());
-    ASSERT_EQ(grouped.size(), expected.size());
-    for (size_t i = 0; i < grouped.size(); ++i) {
-      ASSERT_EQ(grouped[i], expected[i]);
-    }
+    ExpectCountedGroupingMatchesReference(begin, end, chunks);
   }
 }
 
 TEST(CombinePlanTest, IncrementalCountingMatchesOneShotGrouping) {
-  // The concurrent executor counts chunk-by-chunk at arrival (any order) and
-  // places in sorted-chunk order afterwards; counting order must not matter.
-  const VertexId begin = 0;
-  const VertexId end = 32;
+  // The engines count chunk by chunk at arrival (any order) and place in
+  // sorted-chunk order afterwards; counting order must not matter.
   std::mt19937 rng(23);
-  auto records = RandomRecords(rng, begin, end, 4096);
-
-  CombineScratch scratch;
-  scratch.BeginRange(begin, end);
-  // Count in reverse order — the frontier and counts are order-independent.
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    scratch.Count(it->first);
-  }
-  scratch.FinishCounts();
-  std::vector<Tagged> grouped(records.size());
-  for (auto& [target, payload] : records) {
-    grouped[scratch.PlaceIndex(target)] = payload;
-  }
-  const std::vector<Tagged> expected = ReferenceGroup(records);
-  ASSERT_EQ(grouped.size(), expected.size());
-  for (size_t i = 0; i < grouped.size(); ++i) {
-    ASSERT_EQ(grouped[i], expected[i]);
-  }
+  ExpectCountedGroupingMatchesReference(0, 32, {RandomRecords(rng, 0, 32, 4096)});
 }
 
 TEST(CombinePlanTest, FrontierBitmapTracksReceivingVertices) {

@@ -1,7 +1,6 @@
 // The surfer::Engine session front-end: option validation (every rejection
 // EngineOptions::Validate makes), app-type naming in engine-capability
-// errors, null-argument handling, and the deprecated free-function RunApp
-// shims still forwarding correctly.
+// errors, and null-argument handling.
 
 #include <string>
 
@@ -10,7 +9,6 @@
 #include "apps/network_ranking.h"
 #include "apps/reverse_link_graph.h"
 #include "core/engine.h"
-#include "core/run_app.h"
 #include "propagation/config.h"
 #include "tests/test_fixtures.h"
 
@@ -275,54 +273,6 @@ TEST(EngineSessionTest, ExternalSimRejectionNamesTheSessionEngine) {
   EXPECT_NE(result.status().message().find("kConcurrent"), std::string::npos)
       << result.status().message();
 }
-
-// ------------------------------------------------------ deprecated shims
-
-// The three free-function overloads must keep working (and now also
-// validate options) until external callers finish migrating.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(EngineSessionTest, DeprecatedRunAppShimsForwardThroughTheSession) {
-  const EngineFixture& f = Fixture();
-  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO2);
-  EngineOptions options = OptionsFor(EngineKind::kAnalytic, 2);
-
-  auto via_setup =
-      RunApp(setup, NetworkRankingApp(f.graph.num_vertices()), options);
-  ASSERT_TRUE(via_setup.ok()) << via_setup.status().ToString();
-
-  // The setup overload injects the bundle's sim options; the raw overload
-  // runs whatever the caller passes.
-  EngineOptions raw_options = options;
-  raw_options.sim = setup.sim_options;
-  auto via_pointers =
-      RunApp(setup.graph, setup.placement, setup.topology,
-             NetworkRankingApp(f.graph.num_vertices()), raw_options);
-  ASSERT_TRUE(via_pointers.ok()) << via_pointers.status().ToString();
-  ASSERT_EQ(via_setup->states.size(), via_pointers->states.size());
-  for (size_t v = 0; v < via_setup->states.size(); ++v) {
-    ASSERT_EQ(via_setup->states[v], via_pointers->states[v]);
-  }
-
-  JobSimulation sim(setup.topology, setup.sim_options);
-  auto via_sim = RunApp(setup.graph, setup.placement, setup.topology,
-                        NetworkRankingApp(f.graph.num_vertices()),
-                        raw_options, &sim);
-  ASSERT_TRUE(via_sim.ok()) << via_sim.status().ToString();
-  EXPECT_GT(sim.metrics().response_time_s, 0.0);
-
-  // The shims now validate: a nonsense combination fails loudly instead of
-  // being silently ignored as it was pre-session-API.
-  EngineOptions bad = options;
-  bad.runtime.max_workers = 2;
-  auto rejected =
-      RunApp(setup, NetworkRankingApp(f.graph.num_vertices()), bad);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace surfer

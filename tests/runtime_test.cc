@@ -137,10 +137,11 @@ TEST(RuntimeTest, BitIdenticalUnderMaximumBackpressure) {
                      "capacity-1 channels");
 }
 
-TEST(RuntimeTest, BitIdenticalWithWireCombineDisabled) {
-  // With wire-level combination off, the executor must match a sequential
-  // run that also skips local combination: both move the same uncombined
-  // message multiset, and the per-link bytes must still reconcile exactly.
+TEST(RuntimeTest, BitIdenticalWithLocalCombinationDisabled) {
+  // With local combination off the stagers do no wire-level combination
+  // either, so the executor must match a sequential run that also skips it:
+  // both move the same uncombined message multiset, and the per-link bytes
+  // must still reconcile exactly.
   const EngineFixture& f = Fixture();
   const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
   PropagationConfig config = ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
@@ -153,12 +154,11 @@ TEST(RuntimeTest, BitIdenticalWithWireCombineDisabled) {
   for (uint32_t workers : {1u, 3u, 8u}) {
     RuntimeOptions options;
     options.max_workers = workers;
-    options.wire.wire_combine = false;
     RuntimeExecutor<NetworkRankingApp> executor(
         setup.graph, setup.placement, setup.topology, app, config, options);
     ASSERT_TRUE(executor.Run().ok());
     ExpectBitIdentical(runner.states(), executor.states(),
-                       "wire-combine off, " + std::to_string(workers) +
+                       "local combination off, " + std::to_string(workers) +
                            " workers");
     EXPECT_EQ(executor.stats().wire_messages_combined, 0u);
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -227,6 +228,68 @@ TEST(WireBatchTest, StageEndFlushSealsEveryOpenDestination) {
   EXPECT_EQ(h.sent.size(), 3u);
   EXPECT_EQ(stager.stats().flush_stage_end, 3u);
   EXPECT_EQ(stager.stats().batches_sealed, 3u);
+}
+
+// ------------------------------------------------------ hostile input
+
+/// One real segment for destination `dst` claiming `count` records, followed
+/// by `records`, cut to `keep` bytes. The payload holds no spare capacity, so
+/// ASan sees any read past it.
+WireBatch CraftBatch(uint32_t dst, uint32_t count, const Real& records,
+                     size_t keep = SIZE_MAX, uint32_t kind = kWireSegmentReal) {
+  WireSegmentHeader header;
+  header.dst_partition = dst;
+  header.kind = kind;
+  header.count = count;
+  WireBatch batch;
+  AppendPod(batch.payload, header);
+  for (const auto& [target, value] : records) {
+    AppendPod(batch.payload, target);
+    AppendPod(batch.payload, value);
+  }
+  batch.payload.resize(std::min(keep, batch.payload.size()));
+  batch.payload.shrink_to_fit();
+  return batch;
+}
+
+TEST(WireBatchTest, MalformedBatchesAreCorruption) {
+  // Two partitions: p0 owns vertices [0, 10), p1 owns [10, 20). The
+  // structural cases decode without the fenceposts, so only the check under
+  // test can reject them.
+  const std::vector<VertexId> starts = {0, 10, 20};
+  const struct {
+    const char* name;
+    WireBatch batch;
+    bool bounded;
+  } cases[] = {
+      {"count overruns the payload", CraftBatch(1, 4, {{12u, 1u}}), false},
+      {"truncated header",
+       CraftBatch(1, 0, {}, sizeof(WireSegmentHeader) - 1), false},
+      {"unknown kind", CraftBatch(1, 0, {}, SIZE_MAX, /*kind=*/7), false},
+      {"destination partition out of range", CraftBatch(2, 1, {{12u, 1u}}),
+       true},
+      {"real target outside the destination", CraftBatch(1, 1, {{3u, 1u}}),
+       true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    WireBatchReader<uint32_t> reader(
+        c.batch, c.bounded ? std::span<const VertexId>(starts)
+                           : std::span<const VertexId>());
+    WireBatchReader<uint32_t>::Segment segment;
+    EXPECT_FALSE(reader.NextInto(segment));
+    EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+    EXPECT_TRUE(segment.real.empty());
+    EXPECT_FALSE(reader.NextInto(segment));  // stays stopped
+  }
+
+  const WireBatch good = CraftBatch(1, 1, {{12u, 1u}});
+  WireBatchReader<uint32_t> reader(good, starts);
+  auto segment = reader.Next();
+  ASSERT_TRUE(segment.has_value());
+  EXPECT_EQ(segment->real, (Real{{12u, 1u}}));
+  EXPECT_FALSE(reader.Next().has_value());
+  EXPECT_TRUE(reader.status().ok());
 }
 
 // ------------------------------------------------------- buffer pool
