@@ -150,14 +150,14 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
   }
   coarse.offsets.assign(next_coarse + 1, 0);
   // Merges one coarse vertex's adjacency: accumulate edge weights from all
-  // members into `accumulator` (dense, reset after use), emit neighbors in
-  // sorted coarse-ID order. Each coarse vertex is independent of the others,
-  // which is what the sharded build below exploits.
+  // members into `accumulator` (dense, 64-bit, reset after use), emit
+  // neighbors in sorted coarse-ID order. Each coarse vertex is independent
+  // of the others, which is what the sharded build below exploits.
   auto merge_adjacency = [&graph, &members, &member_begin, fine_to_coarse](
                              VertexId c, std::vector<int64_t>& accumulator,
                              std::vector<VertexId>& touched,
                              std::vector<VertexId>& out_neighbors,
-                             std::vector<int64_t>& out_weights) {
+                             std::vector<int32_t>& out_weights) {
     touched.clear();
     for (size_t m = member_begin[c]; m < member_begin[c + 1]; ++m) {
       const VertexId v = members[m];
@@ -176,13 +176,20 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
     }
     std::sort(touched.begin(), touched.end());
     for (VertexId cn : touched) {
+      SURFER_CHECK(accumulator[cn] <= kMaxEdgeWeight)
+          << "merged edge weight " << accumulator[cn]
+          << " exceeds the 32-bit edge-weight bound " << kMaxEdgeWeight;
       out_neighbors.push_back(cn);
-      out_weights.push_back(accumulator[cn]);
+      out_weights.push_back(static_cast<int32_t>(accumulator[cn]));
       accumulator[cn] = 0;
     }
   };
 
   if (pool == nullptr || n < kIntraParallelMinVertices) {
+    // Merging never adds half-edges, so the fine count bounds the coarse
+    // one: one allocation instead of push_back doubling and its copies.
+    coarse.neighbors.reserve(graph.num_half_edges());
+    coarse.edge_weights.reserve(graph.num_half_edges());
     std::vector<int64_t> accumulator(next_coarse, 0);
     std::vector<VertexId> touched;
     for (VertexId c = 0; c < next_coarse; ++c) {
@@ -199,7 +206,7 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
   // the stitched CSR is identical to the sequential build.
   struct ChunkBuffer {
     std::vector<VertexId> neighbors;
-    std::vector<int64_t> weights;
+    std::vector<int32_t> weights;
     std::vector<EdgeIndex> degrees;  // per coarse vertex in the chunk
   };
   const size_t num_chunks =
@@ -318,7 +325,7 @@ BisectionResult InitialBisection(const WeightedGraph& graph,
             // u on side 1: edges to region = sw.other, out = sw.same.
             gain[u] = sw.other - sw.same;
           } else {
-            gain[u] += 2 * weights[i];
+            gain[u] += 2 * int64_t{weights[i]};
           }
           frontier.emplace(gain[u], u);
         }
@@ -469,9 +476,9 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
         }
         // v joined u's side: that edge's contribution flips by 2w either way.
         if (side[u] == to) {
-          gain[u] -= 2 * weights[i];
+          gain[u] -= 2 * int64_t{weights[i]};
         } else {
-          gain[u] += 2 * weights[i];
+          gain[u] += 2 * int64_t{weights[i]};
         }
         heap.emplace_back(gain[u], u);
         std::push_heap(heap.begin(), heap.end());

@@ -1,12 +1,18 @@
 #include "partition/recursive_partitioner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -146,6 +152,98 @@ struct RecursionState {
   TaskGroup* group;
 };
 
+/// The pool a node of `num_vertices` hands its bisection and extraction.
+ThreadPool* NodePool(const RecursionState& state, size_t num_vertices) {
+  return num_vertices >= kIntraNodeParallelMinVertices ? state.pool : nullptr;
+}
+
+/// Returns the heap's free pages to the OS. Pool threads allocate from their
+/// own glibc arenas, and each arena otherwise keeps the high-water mark of the
+/// bisection buffers it has freed, so the partitioner's resident peak would
+/// grow with the thread count (DESIGN.md Section 10, "Memory").
+void ReleaseFreedMemory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+/// Bisects `graph`, the subgraph of sketch `node`, records the cut in the
+/// sketch and in the observability hooks, and returns each vertex's side.
+std::vector<uint8_t> BisectNode(RecursionState& state,
+                                const WeightedGraph& graph, uint32_t node,
+                                ThreadPool* pool) {
+  BisectionOptions bisect_options = state.options->bisection;
+  bisect_options.seed = MixSeed(state.options->bisection.seed, node);
+  bisect_options.pool = pool;
+  // The bisection tree level: the root split of node 1 is level 0.
+  uint32_t level = 0;
+  for (uint32_t n = node; n > 1; n >>= 1) {
+    ++level;
+  }
+  obs::Tracer* tracer = state.options->tracer;
+  obs::MetricsRegistry* metrics = state.options->metrics;
+  const bool timed = tracer != nullptr || metrics != nullptr;
+  const auto wall_start = std::chrono::steady_clock::now();
+  const double trace_start_us = tracer != nullptr ? tracer->WallNowUs() : 0.0;
+  BisectionResult result = Bisect(graph, bisect_options);
+  const double elapsed_s =
+      timed ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            wall_start)
+                  .count()
+            : 0.0;
+  state.sketch->SetBisectionCut(node, result.cut_weight);
+  if (tracer != nullptr) {
+    tracer->RecordComplete(
+        obs::TraceClock::kWall, "bisect[node=" + std::to_string(node) + "]",
+        "partition", trace_start_us, elapsed_s * 1e6,
+        obs::Tracer::CurrentThreadLane(),
+        {{"level", std::to_string(level)},
+         {"vertices", std::to_string(graph.num_vertices())},
+         {"cut", std::to_string(result.cut_weight)}});
+  }
+  if (metrics != nullptr) {
+    const obs::Labels level_label = {{"level", std::to_string(level)}};
+    metrics->CounterRef("partition_bisections_total").Increment();
+    metrics->GaugeRef("partition_edge_cut", level_label)
+        .Add(static_cast<double>(result.cut_weight));
+    metrics->HistogramRef("partition_bisection_seconds", level_label)
+        .Observe(elapsed_s);
+  }
+  return std::move(result.side);
+}
+
+void PartitionNode(RecursionState& state, std::vector<VertexId> vertices,
+                   uint32_t node);
+
+/// Splits a bisected node's vertices by side and submits the two child
+/// subtrees; `vertices[i]` is the global ID of the node's local vertex i.
+/// Both buffers are freed before the children are submitted: with a null
+/// pool the group runs them inline, so anything still held here would stay
+/// resident for the whole depth-first descent.
+void SubmitChildren(RecursionState& state, uint32_t node,
+                    std::vector<uint8_t> side,
+                    std::vector<VertexId> vertices) {
+  const size_t left_size =
+      static_cast<size_t>(std::count(side.begin(), side.end(), 0));
+  std::vector<VertexId> left;
+  std::vector<VertexId> right;
+  left.reserve(left_size);
+  right.reserve(side.size() - left_size);
+  for (size_t i = 0; i < side.size(); ++i) {
+    (side[i] == 0 ? left : right).push_back(vertices[i]);
+  }
+  side = {};
+  vertices = {};
+  ReleaseFreedMemory();
+  RecursionState* shared = &state;
+  state.group->Submit([shared, left = std::move(left), node]() mutable {
+    PartitionNode(*shared, std::move(left), PartitionSketch::Left(node));
+  });
+  state.group->Submit([shared, right = std::move(right), node]() mutable {
+    PartitionNode(*shared, std::move(right), PartitionSketch::Right(node));
+  });
+}
+
 /// Bisects the subgraph on `vertices` for sketch `node`; assigns partition
 /// IDs once single-partition nodes are reached, and submits the two child
 /// subtrees to the task group.
@@ -168,74 +266,24 @@ void PartitionNode(RecursionState& state, std::vector<VertexId> vertices,
     }
     return;
   }
-  BisectionOptions bisect_options = state.options->bisection;
-  bisect_options.seed = MixSeed(state.options->bisection.seed, node);
-  bisect_options.pool = vertices.size() >= kIntraNodeParallelMinVertices
-                            ? state.pool
-                            : nullptr;
-  std::vector<VertexId> global_to_local = state.scratch_maps->Acquire();
-  const WeightedGraph sub =
-      ExtractSubgraph(*state.working, vertices, &global_to_local,
-                      bisect_options.pool);
-  state.scratch_maps->Release(std::move(global_to_local));
-  // The bisection tree level: the root split of node 1 is level 0.
-  uint32_t level = 0;
-  for (uint32_t n = node; n > 1; n >>= 1) {
-    ++level;
-  }
-  obs::Tracer* tracer = state.options->tracer;
-  obs::MetricsRegistry* metrics = state.options->metrics;
-  const bool timed = tracer != nullptr || metrics != nullptr;
-  const auto wall_start = std::chrono::steady_clock::now();
-  const double trace_start_us = tracer != nullptr ? tracer->WallNowUs() : 0.0;
-  const BisectionResult result = Bisect(sub, bisect_options);
-  const double elapsed_s =
-      timed ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            wall_start)
-                  .count()
-            : 0.0;
-  state.sketch->SetBisectionCut(node, result.cut_weight);
-  if (tracer != nullptr) {
-    tracer->RecordComplete(
-        obs::TraceClock::kWall, "bisect[node=" + std::to_string(node) + "]",
-        "partition", trace_start_us, elapsed_s * 1e6,
-        obs::Tracer::CurrentThreadLane(),
-        {{"level", std::to_string(level)},
-         {"vertices", std::to_string(vertices.size())},
-         {"cut", std::to_string(result.cut_weight)}});
-  }
-  if (metrics != nullptr) {
-    const obs::Labels level_label = {{"level", std::to_string(level)}};
-    metrics->CounterRef("partition_bisections_total").Increment();
-    metrics->GaugeRef("partition_edge_cut", level_label)
-        .Add(static_cast<double>(result.cut_weight));
-    metrics->HistogramRef("partition_bisection_seconds", level_label)
-        .Observe(elapsed_s);
-  }
-
-  std::vector<VertexId> left;
-  std::vector<VertexId> right;
-  left.reserve(vertices.size() / 2 + 1);
-  right.reserve(vertices.size() / 2 + 1);
-  for (size_t i = 0; i < vertices.size(); ++i) {
-    if (result.side[i] == 0) {
-      left.push_back(vertices[i]);
-    } else {
-      right.push_back(vertices[i]);
-    }
-  }
-  vertices.clear();
-  vertices.shrink_to_fit();
-  RecursionState* shared = &state;
-  state.group->Submit([shared, left = std::move(left), node]() mutable {
-    PartitionNode(*shared, std::move(left), PartitionSketch::Left(node));
-  });
-  state.group->Submit([shared, right = std::move(right), node]() mutable {
-    PartitionNode(*shared, std::move(right), PartitionSketch::Right(node));
-  });
+  ThreadPool* pool = NodePool(state, vertices.size());
+  std::vector<uint8_t> side;
+  {
+    std::vector<VertexId> global_to_local = state.scratch_maps->Acquire();
+    const WeightedGraph sub =
+        ExtractSubgraph(*state.working, vertices, &global_to_local, pool);
+    state.scratch_maps->Release(std::move(global_to_local));
+    side = BisectNode(state, sub, node, pool);
+  }  // the subgraph is freed here, before the children run
+  SubmitChildren(state, node, std::move(side), std::move(vertices));
 }
 
 }  // namespace
+
+uint32_t DefaultPartitionerThreads() {
+  const unsigned cores = std::thread::hardware_concurrency();
+  return cores > 1 ? cores - 1 : 0;
+}
 
 Result<RecursivePartitionResult> RecursivePartition(
     const Graph& graph, const RecursivePartitionerOptions& options) {
@@ -267,11 +315,16 @@ Result<RecursivePartitionResult> RecursivePartition(
   RecursionState state{&working,       &options,  &result.partitioning,
                        &result.sketch, pool.get(), &scratch_maps,
                        &group};
+  // The root's subgraph is the whole working graph, so it bisects that in
+  // place rather than through an identical ExtractSubgraph copy.
+  std::vector<uint8_t> side =
+      BisectNode(state, working, /*node=*/1,
+                 NodePool(state, graph.num_vertices()));
   std::vector<VertexId> all(graph.num_vertices());
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     all[v] = v;
   }
-  PartitionNode(state, std::move(all), /*node=*/1);
+  SubmitChildren(state, /*node=*/1, std::move(side), std::move(all));
   // Subtree tasks fan out through the group; state outlives them because
   // this wait (helping, so the caller's thread works too) ends the fan-out.
   group.Wait();

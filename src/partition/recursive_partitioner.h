@@ -16,6 +16,12 @@ class MetricsRegistry;
 class Tracer;
 }  // namespace obs
 
+/// The partitioner's default worker count: one less than the hardware
+/// threads, because the calling thread works too while it waits for the
+/// bisection tree (TaskGroup::Wait helps). 0, the sequential path, on a
+/// single-core host or when the core count is unknown.
+uint32_t DefaultPartitionerThreads();
+
 /// Options for the P-way multilevel recursive-bisection partitioner (the
 /// algorithm family of Metis/ParMetis, Appendix A.2).
 struct RecursivePartitionerOptions {
@@ -23,16 +29,17 @@ struct RecursivePartitionerOptions {
   /// balanced binary tree).
   uint32_t num_partitions = 16;
   BisectionOptions bisection;
-  /// Worker threads for the partitioner. 0 preserves the original fully
-  /// sequential path (no pool is created); any value >= 1 runs the bisection
-  /// tree task-parallel — after a node's bisection its two subtrees become
+  /// Worker threads for the partitioner, by default
+  /// DefaultPartitionerThreads(). 0 selects the sequential reference path
+  /// (no pool is created); any value >= 1 runs the bisection tree
+  /// task-parallel — after a node's bisection its two subtrees become
   /// independent pool tasks — plus intra-bisection parallelism on large
   /// nodes. Every thread count, including 0, produces a bit-identical
   /// assignment and sketch: per-node seeds make each subtree's result
   /// independent of execution order, and all concurrent writes land in
   /// disjoint ranges (see DESIGN.md Section 10). `bisection.pool` is
   /// overridden per node and need not be set by callers.
-  uint32_t num_threads = 0;
+  uint32_t num_threads = DefaultPartitionerThreads();
   /// Optional observability hooks (not owned; may be null). The tracer gets
   /// one wall-clock span per bisection (category "partition", args level /
   /// vertices / cut); the registry gets partition_* counters, per-level

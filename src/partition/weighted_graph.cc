@@ -15,7 +15,7 @@ int64_t WeightedGraph::TotalVertexWeight() const {
 
 int64_t WeightedGraph::WeightedDegree(VertexId v) const {
   int64_t sum = 0;
-  for (int64_t w : EdgeWeights(v)) {
+  for (int32_t w : EdgeWeights(v)) {
     sum += w;
   }
   return sum;
@@ -94,7 +94,7 @@ WeightedGraph WeightedGraph::FromDataGraph(const Graph& graph,
           ++j;
         }
         result.neighbors[out] = adj[e];
-        result.edge_weights[out] = static_cast<int64_t>(j - e);
+        result.edge_weights[out] = static_cast<int32_t>(j - e);
         ++out;
         e = j;
       }
@@ -130,8 +130,8 @@ WeightedGraph WeightedGraph::CompleteFromWeights(
         continue;
       }
       result.neighbors.push_back(b);
-      result.edge_weights.push_back(std::max<int64_t>(
-          1, static_cast<int64_t>(std::llround(bandwidth[a][b] * scale))));
+      result.edge_weights.push_back(std::max<int32_t>(
+          1, static_cast<int32_t>(std::llround(bandwidth[a][b] * scale))));
     }
     result.offsets[a + 1] = result.neighbors.size();
   }

@@ -12,6 +12,13 @@ namespace surfer {
 
 class ThreadPool;
 
+/// The largest edge weight a WeightedGraph may hold. Weights are stored in
+/// 32 bits to halve the partitioner's edge arrays; coarsening sums weights in
+/// 64 bits and checks each merged weight against this bound before narrowing
+/// it. Gains and cuts stay 64-bit, and gain updates widen a weight before
+/// doubling it.
+inline constexpr int64_t kMaxEdgeWeight = int64_t{1} << 30;
+
 /// An undirected weighted graph in CSR form, the working representation of
 /// the multilevel partitioner. Every edge appears in both endpoint lists
 /// with the same weight. Vertex weights carry the "size" being balanced
@@ -20,7 +27,7 @@ class ThreadPool;
 struct WeightedGraph {
   std::vector<EdgeIndex> offsets;
   std::vector<VertexId> neighbors;
-  std::vector<int64_t> edge_weights;   ///< parallel to `neighbors`
+  std::vector<int32_t> edge_weights;   ///< parallel to `neighbors`
   std::vector<int64_t> vertex_weights;
 
   VertexId num_vertices() const {
@@ -32,7 +39,7 @@ struct WeightedGraph {
   std::span<const VertexId> Neighbors(VertexId v) const {
     return {neighbors.data() + offsets[v], neighbors.data() + offsets[v + 1]};
   }
-  std::span<const int64_t> EdgeWeights(VertexId v) const {
+  std::span<const int32_t> EdgeWeights(VertexId v) const {
     return {edge_weights.data() + offsets[v],
             edge_weights.data() + offsets[v + 1]};
   }

@@ -117,6 +117,37 @@ TEST(BisectionTest, CoarseningPreservesTotals) {
   }
 }
 
+// A 4-cycle whose edges all weigh `w`. Any heavy-edge matching pairs two
+// adjacent vertices twice, so the two remaining edges merge into one coarse
+// edge of weight 2w.
+WeightedGraph FourCycle(int32_t w) {
+  WeightedGraph wg;
+  wg.offsets = {0, 2, 4, 6, 8};
+  wg.neighbors = {1, 3, 0, 2, 1, 3, 0, 2};
+  wg.edge_weights.assign(8, w);
+  wg.vertex_weights.assign(4, 1);
+  return wg;
+}
+
+TEST(BisectionTest, CoarseningMergesWeightsUpToTheBound) {
+  std::vector<VertexId> map;
+  const WeightedGraph coarse = internal::CoarsenOnce(
+      FourCycle(static_cast<int32_t>(kMaxEdgeWeight / 2)), 3, &map);
+  ASSERT_EQ(coarse.num_vertices(), 2u);
+  ASSERT_EQ(coarse.edge_weights.size(), 2u);
+  EXPECT_EQ(coarse.edge_weights[0], kMaxEdgeWeight);
+  EXPECT_EQ(coarse.edge_weights[1], kMaxEdgeWeight);
+}
+
+TEST(BisectionDeathTest, CoarseningRejectsMergedWeightAboveTheBound) {
+  // 2 * 2^30 fits the 64-bit accumulator but not the 32-bit edge weights'
+  // bound: narrowing it must fail loudly instead of wrapping.
+  const WeightedGraph wg = FourCycle(static_cast<int32_t>(kMaxEdgeWeight));
+  std::vector<VertexId> map;
+  EXPECT_DEATH(internal::CoarsenOnce(wg, 3, &map),
+               "exceeds the 32-bit edge-weight bound");
+}
+
 // Side weights summed from scratch, for checking a result's recorded ones.
 std::pair<int64_t, int64_t> FreshSideWeights(const WeightedGraph& wg,
                                              const std::vector<uint8_t>& side) {

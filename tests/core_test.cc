@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "bench/bench_common.h"
 #include "core/sim_scale.h"
 #include "core/surfer.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "partition/recursive_partitioner.h"
 
 namespace surfer {
 namespace {
@@ -91,6 +93,35 @@ TEST(SurferEngineTest, PartitionCountCappedByVertices) {
   auto engine = SurferEngine::Build(g, Topology::T1(2), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_LE((*engine)->num_partitions(), 8u);
+}
+
+TEST(SurferEngineTest, BuildPartitionMatchesSequentialReference) {
+  // Build runs the partitioner at its default thread count, with the root
+  // bisected in place; it must reproduce the sequential path bit for bit.
+  bench::BenchGraphOptions graph_options;
+  graph_options.num_vertices = 1 << 12;
+  const Graph g = bench::MakeBenchGraph(graph_options);
+  SurferOptions options;
+  options.num_partitions = 64;
+  options.seed = 5;
+  auto engine = SurferEngine::Build(g, Topology::T2(8, 2, 1), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  RecursivePartitionerOptions reference_options;
+  reference_options.num_partitions = 64;
+  reference_options.bisection = options.bisection;
+  reference_options.bisection.seed = options.seed;
+  reference_options.num_threads = 0;
+  auto reference = RecursivePartition(g, reference_options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  EXPECT_EQ((*engine)->partitioning().assignment,
+            reference->partitioning.assignment);
+  const PartitionSketch& sketch = (*engine)->sketch();
+  for (uint32_t node = 1; node < 64; ++node) {
+    EXPECT_EQ(sketch.BisectionCut(node), reference->sketch.BisectionCut(node))
+        << "node " << node;
+  }
 }
 
 TEST(OptimizationLevelTest, NamesAndFlags) {
