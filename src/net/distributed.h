@@ -235,7 +235,8 @@ class DistributedWorker {
       stagers_.emplace(
           std::piecewise_construct, std::forward_as_tuple(m),
           std::forward_as_tuple(&app_, options_.wire, pool_.get(), m,
-                                num_machines_, wire_combine_));
+                                num_machines_, wire_combine_,
+                                graph_->encoding().starts()));
     }
 
     states_ = InitialStates(app_, *graph_);
@@ -719,10 +720,12 @@ class DistributedWorker {
   /// later death in this same iteration still finds a complete copy here.
   /// Two stagers keep rebuilt and retain-only streams in separate batches.
   void ReexecTransfer(PartitionId q, MachineId m, const RoundMsg& round) {
+    const auto& starts = graph_->encoding().starts();
     runtime::WireStager<App> send_stager(&app_, options_.wire, pool_.get(), m,
-                                         num_machines_, wire_combine_);
+                                         num_machines_, wire_combine_, starts);
     runtime::WireStager<App> retain_stager(&app_, options_.wire, pool_.get(),
-                                           m, num_machines_, wire_combine_);
+                                           m, num_machines_, wire_combine_,
+                                           starts);
     auto send = [&](runtime::WireBatch&& batch) {
       return ShipBatch(std::move(batch), /*resend=*/true, /*retain=*/true);
     };

@@ -53,12 +53,6 @@ Result<VertexEncoding> VertexEncoding::FromMapping(
   return enc;
 }
 
-PartitionId VertexEncoding::PartitionOf(VertexId encoded) const {
-  const auto it =
-      std::upper_bound(starts_.begin(), starts_.end(), encoded);
-  return static_cast<PartitionId>(it - starts_.begin()) - 1;
-}
-
 Graph VertexEncoding::Reencode(const Graph& graph) const {
   const VertexId n = graph.num_vertices();
   std::vector<EdgeIndex> offsets(n + 1, 0);

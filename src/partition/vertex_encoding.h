@@ -1,6 +1,7 @@
 #ifndef SURFER_PARTITION_VERTEX_ENCODING_H_
 #define SURFER_PARTITION_VERTEX_ENCODING_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/result.h"
@@ -31,8 +32,20 @@ class VertexEncoding {
   VertexId ToEncoded(VertexId original) const { return to_encoded_[original]; }
   VertexId ToOriginal(VertexId encoded) const { return to_original_[encoded]; }
 
-  /// Partition owning an encoded vertex ID (binary search over the starts).
-  PartitionId PartitionOf(VertexId encoded) const;
+  /// Partition owning an encoded vertex ID: the last start <= `encoded`
+  /// (an empty partition shares its start with the next one and never
+  /// owns an ID). Inline and branch-free, since the engines route every
+  /// message through it.
+  PartitionId PartitionOf(VertexId encoded) const {
+    const VertexId* first = starts_.data();
+    size_t len = starts_.size();
+    while (len > 1) {
+      const size_t half = len / 2;
+      first = first[half] <= encoded ? first + half : first;
+      len -= half;
+    }
+    return static_cast<PartitionId>(first - starts_.data());
+  }
 
   /// Encoded ID range [begin, end) of a partition.
   std::pair<VertexId, VertexId> Range(PartitionId partition) const {

@@ -170,7 +170,7 @@ class RuntimeExecutor {
     stagers_.reserve(num_machines);
     for (MachineId m = 0; m < num_machines; ++m) {
       stagers_.emplace_back(&app_, options_.wire, pool_.get(), m, num_machines,
-                            wire_combine);
+                            wire_combine, graph_->encoding().starts());
     }
 
     const uint32_t num_partitions = graph_->num_partitions();

@@ -98,8 +98,13 @@ class PartitionKernel {
       app_.Transfer(v, states[v], g.OutNeighbors(v), ts.emitter);
       ts.emitter.Drain(
           [&](VertexId target, Message message) {
-            ts.real_out[graph_.PartitionOf(target)].emplace_back(
-                target, std::move(message));
+            // A target in the emitter's own partition (the common case once
+            // the partitioner has kept edges inside) needs no search.
+            const PartitionId dst =
+                target >= meta.begin && target < meta.end
+                    ? p
+                    : graph_.PartitionOf(target);
+            ts.real_out[dst].emplace_back(target, std::move(message));
           },
           [&](uint64_t target, Message message) {
             ts.virtual_out[target % num_partitions].emplace_back(

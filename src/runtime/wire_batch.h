@@ -1,10 +1,12 @@
 #ifndef SURFER_RUNTIME_WIRE_BATCH_H_
 #define SURFER_RUNTIME_WIRE_BATCH_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <optional>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/logging.h"
 #include "common/status.h"
 #include "graph/types.h"
 #include "propagation/app_traits.h"
@@ -139,7 +142,9 @@ class WireBufferPool {
 /// partial segment header, a `count` that overruns the payload, or an
 /// unknown `kind` stops the reader with Corruption. Given the P+1 partition
 /// fenceposts (VertexEncoding::starts()), it also rejects a destination
-/// partition >= P and a real target outside the destination's vertex range.
+/// partition >= P, a real target outside the destination's vertex range,
+/// and a virtual target x with x % P != destination (the routing rule every
+/// engine applies).
 template <typename Message>
 class WireBatchReader {
   static_assert(std::is_trivially_copyable_v<Message>);
@@ -193,39 +198,31 @@ class WireBatchReader {
                   header.count);
     }
     const bool bounded = !starts_.empty();
-    if (bounded && header.dst_partition >= starts_.size() - 1) {
+    const uint32_t num_partitions =
+        bounded ? static_cast<uint32_t>(starts_.size() - 1) : 0;
+    if (bounded && header.dst_partition >= num_partitions) {
       return Fail("destination partition out of range:",
                   header.dst_partition);
     }
     segment.header = header;
     offset_ += sizeof(WireSegmentHeader);
-    // Both reserves are bounded: count fits in the bytes left.
     if (real) {
       const VertexId lo = bounded ? starts_[header.dst_partition] : 0;
       const VertexId hi = bounded ? starts_[header.dst_partition + 1] : 0;
-      segment.real.reserve(header.count);
-      for (uint32_t i = 0; i < header.count; ++i) {
-        const VertexId target = ReadPod<VertexId>(base + offset_);
-        if (bounded && (target < lo || target >= hi)) {
-          segment.real.clear();
-          return Fail("real target outside its destination partition:",
-                      target);
-        }
-        offset_ += sizeof(VertexId);
-        segment.real.emplace_back(target, ReadPod<Message>(base + offset_));
-        offset_ += sizeof(Message);
-      }
-    } else {
-      segment.virtuals.reserve(header.count);
-      for (uint32_t i = 0; i < header.count; ++i) {
-        const uint64_t target = ReadPod<uint64_t>(base + offset_);
-        offset_ += sizeof(uint64_t);
-        segment.virtuals.emplace_back(target,
-                                      ReadPod<Message>(base + offset_));
-        offset_ += sizeof(Message);
-      }
+      return DecodeRecords(
+          segment.real, header.count,
+          [&](VertexId target) {
+            return !bounded || (target >= lo && target < hi);
+          },
+          "real target outside its destination partition:");
     }
-    return true;
+    // Every engine routes virtual ID x to partition x % P.
+    return DecodeRecords(
+        segment.virtuals, header.count,
+        [&](uint64_t target) {
+          return !bounded || target % num_partitions == header.dst_partition;
+        },
+        "virtual target routed to the wrong partition:");
   }
 
   /// OK through the clean end of the payload; Corruption once NextInto met
@@ -236,6 +233,31 @@ class WireBatchReader {
   size_t offset() const { return offset_; }
 
  private:
+  /// Decodes `count` records at offset_ into `records`: sized once (bounded,
+  /// since count fits in the bytes left), then filled by index. Stops at the
+  /// first target `valid` rejects, leaving `records` empty and offset_ at
+  /// the bad record.
+  template <typename K, typename Valid>
+  bool DecodeRecords(std::vector<std::pair<K, Message>>& records,
+                     uint32_t count, Valid&& valid, const char* invalid) {
+    const uint8_t* base = batch_.payload.data();
+    const uint8_t* cursor = base + offset_;
+    records.resize(count);
+    for (auto& [target, message] : records) {
+      std::memcpy(&target, cursor, sizeof(K));
+      if (!valid(target)) {
+        const K bad = target;
+        records.clear();
+        offset_ = static_cast<size_t>(cursor - base);
+        return Fail(invalid, bad);
+      }
+      std::memcpy(&message, cursor + sizeof(K), sizeof(Message));
+      cursor += sizeof(K) + sizeof(Message);
+    }
+    offset_ = static_cast<size_t>(cursor - base);
+    return true;
+  }
+
   /// Stops the reader. Out of line and cold, so the decode loop stays small.
   [[gnu::noinline, gnu::cold]] bool Fail(const char* what, uint64_t value) {
     status_ = Status::Corruption("wire batch byte " +
@@ -286,13 +308,13 @@ void AddWireStagerStats(const WireStagerStats& ws, Totals& totals) {
 /// machine's owner worker, so it needs no locking of its own.
 ///
 /// Wire-level local combination happens here, at staging time: a task hands
-/// over its complete (src -> dst) stream, duplicates merge through the same
-/// insertion-ordered map replay the analytic runner uses, and only the
-/// post-merge records are serialized and priced. Because the whole stream is
-/// combined before any of it is written, a mid-stream size flush can split
-/// the stream across batches without changing the priced byte count — the
-/// invariant that keeps the runtime's per-link bytes reconciling exactly
-/// with PropagationRunner::link_network_bytes().
+/// over its complete (src -> dst) stream, duplicates merge in emission order
+/// with the same Merge(acc, next) folds the analytic runner performs, and
+/// only the post-merge records are serialized and priced. Because the whole
+/// stream is combined before any of it is written, a mid-stream size flush
+/// can split the stream across batches without changing the priced byte
+/// count — the invariant that keeps the runtime's per-link bytes
+/// reconciling exactly with PropagationRunner::link_network_bytes().
 template <typename App>
   requires PropagationApp<App> && WireSerializableApp<App>
 class WireStager {
@@ -300,15 +322,28 @@ class WireStager {
   using Message = typename App::Message;
   using Clock = std::chrono::steady_clock;
 
+  /// `partition_starts` (the P+1 VertexEncoding::starts(), borrowed for
+  /// the stager's lifetime) sizes the dense merge's slot table; every real
+  /// target staged for partition d must lie in [starts[d], starts[d+1]).
   WireStager(const App* app, const WireBatchOptions& options,
              WireBufferPool* pool, MachineId src_machine,
-             uint32_t num_machines, bool combine)
+             uint32_t num_machines, bool combine,
+             std::span<const VertexId> partition_starts)
       : app_(app),
         options_(options),
         pool_(pool),
         src_machine_(src_machine),
         combine_(combine),
-        open_(num_machines) {}
+        starts_(partition_starts),
+        open_(num_machines) {
+    VertexId largest = 0;
+    for (size_t i = 0; i + 1 < starts_.size(); ++i) {
+      largest = std::max(largest, starts_[i + 1] - starts_[i]);
+    }
+    if (combine_ && MergeableApp<App>) {
+      slots_.assign(largest, kNoSlot);
+    }
+  }
 
   /// Stages one task's complete (src -> dst) stream: merges duplicates (when
   /// combination is on), prices the post-merge records, and serializes them
@@ -324,8 +359,8 @@ class WireStager {
                    SendFn&& send) {
     if (combine_) {
       if constexpr (MergeableApp<App>) {
-        MergeDuplicates(real);
-        MergeDuplicates(virtuals);
+        MergeDense(dst, real);
+        MergeHashed(virtuals);
       }
     }
     double blocked_s = 0.0;
@@ -395,35 +430,79 @@ class WireStager {
     bool active = false;
   };
 
-  /// Merges duplicate targets by replaying the records through an
-  /// insertion-ordered map walk, exactly the sequence of emplace/Merge calls
-  /// the analytic runner performs — so merged values are bit-identical. The
-  /// map's iteration order is irrelevant downstream: a merged stream carries
-  /// at most one message per target, and the combine side's stable sort by
-  /// target normalizes stream-internal order away.
-  template <typename K>
-  void MergeDuplicates(std::vector<std::pair<K, Message>>& records) {
-    if (records.size() < 2) {
-      return;
-    }
-    std::unordered_map<K, Message> merged;
-    merged.reserve(records.size());
-    for (auto& [key, message] : records) {
-      auto it = merged.find(key);
-      if (it == merged.end()) {
-        merged.emplace(key, std::move(message));
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  /// Merges duplicate targets in place: the first occurrence of a target
+  /// keeps its position (output is in first-occurrence order) and every
+  /// later one folds into it as Merge(acc, next), in emission order — the
+  /// analytic runner's exact fold sequence, so merged values match it to the
+  /// bit. `slot_of(target)` names the target's slot, which holds kNoSlot
+  /// until the target's first record has been kept. Order within a merged
+  /// stream is irrelevant downstream: it carries at most one message per
+  /// target and Combine's counting scatter groups by target.
+  template <typename K, typename SlotOf>
+  void Compact(std::vector<std::pair<K, Message>>& records, SlotOf&& slot_of) {
+    size_t kept = 0;
+    for (size_t i = 0; i < records.size(); ++i) {
+      uint32_t& slot = slot_of(records[i].first);
+      if (slot == kNoSlot) {
+        slot = static_cast<uint32_t>(kept);
+        if (kept != i) {
+          records[kept] = std::move(records[i]);
+        }
+        ++kept;
       } else {
-        it->second = app_->Merge(it->second, message);
+        Message& acc = records[slot].second;
+        acc = app_->Merge(acc, records[i].second);
         ++stats_.messages_combined;
       }
     }
-    if (merged.size() == records.size()) {
-      return;  // no duplicates: keep emission order as-is
+    records.erase(records.begin() + static_cast<std::ptrdiff_t>(kept),
+                  records.end());
+  }
+
+  /// Real targets of destination partition `dst`: slot = slots_[target -
+  /// start of dst]. Only the merged output's slots were written, so walking
+  /// it resets the table for the next stream.
+  void MergeDense(PartitionId dst,
+                  std::vector<std::pair<VertexId, Message>>& records) {
+    if (records.size() < 2) {
+      return;
     }
-    records.clear();
-    for (auto& [key, message] : merged) {
-      records.emplace_back(key, std::move(message));
+    const VertexId lo = starts_[dst];
+    const VertexId size = starts_[dst + 1] - lo;
+    Compact(records, [&](VertexId target) -> uint32_t& {
+      if (target - lo >= size) [[unlikely]] {
+        OutsidePartition(target, dst);
+      }
+      return slots_[target - lo];
+    });
+    for (const auto& record : records) {
+      slots_[record.first - lo] = kNoSlot;
     }
+  }
+
+  /// The engines route every real target into its owner's stream, so this
+  /// is a bug, not bad input.
+  [[noreturn, gnu::noinline, gnu::cold]] static void OutsidePartition(
+      VertexId target, PartitionId dst) {
+    SURFER_CHECK(false) << "staged target " << target
+                        << " lies outside destination partition " << dst;
+    std::abort();
+  }
+
+  /// Virtual IDs are arbitrary 64-bit values with no dense index, so they
+  /// merge through a per-stream hash map.
+  template <typename K>
+  void MergeHashed(std::vector<std::pair<K, Message>>& records) {
+    if (records.size() < 2) {
+      return;
+    }
+    std::unordered_map<K, uint32_t> index;
+    index.reserve(records.size());
+    Compact(records, [&](K target) -> uint32_t& {
+      return index.try_emplace(target, kNoSlot).first->second;
+    });
   }
 
   template <typename K, typename SendFn>
@@ -445,32 +524,41 @@ class WireStager {
     if (!open.active) {
       Open(open, dst_machine);
     }
-    size_t header_at = BeginSegment(open.batch, src, dst, kind);
-    uint32_t count = 0;
-    uint64_t priced = 0;
-    for (auto& [key, message] : records) {
-      if (count > 0 &&
-          open.batch.payload.size() + kRecordBytes >
-              options_.max_batch_bytes) {
-        // Chunk the stream: close this segment, ship the batch, continue the
-        // same (src, dst) stream in a fresh segment. Records were combined
-        // and priced for the whole task above, so chunking cannot change the
-        // cost model's byte count.
-        CloseSegment(open.batch, header_at, count, priced);
-        ++stats_.flush_size;
-        blocked_s += Seal(open, send);
-        Open(open, dst_machine);
-        header_at = BeginSegment(open.batch, src, dst, kind);
-        count = 0;
-        priced = 0;
+    size_t next = 0;
+    for (;;) {
+      std::vector<uint8_t>& payload = open.batch.payload;
+      const size_t header_at = BeginSegment(open.batch, src, dst, kind);
+      // A segment takes every record that fits under the cap, and always at
+      // least one: a batch too small for even one record still makes
+      // progress.
+      const size_t cap = options_.max_batch_bytes;
+      const size_t fit =
+          payload.size() < cap ? (cap - payload.size()) / kRecordBytes : 0;
+      const size_t take =
+          std::min(records.size() - next, std::max<size_t>(fit, 1));
+      const size_t at = payload.size();
+      payload.resize(at + take * kRecordBytes);
+      uint8_t* cursor = payload.data() + at;
+      uint64_t priced = 0;
+      for (size_t i = next; i < next + take; ++i) {
+        std::memcpy(cursor, &records[i].first, sizeof(K));
+        std::memcpy(cursor + sizeof(K), &records[i].second, sizeof(Message));
+        cursor += kRecordBytes;
+        priced += app_->MessageBytes(records[i].second);
       }
-      AppendPod(open.batch.payload, key);
-      AppendPod(open.batch.payload, message);
-      priced += app_->MessageBytes(message);
-      ++count;
+      CloseSegment(open.batch, header_at, static_cast<uint32_t>(take), priced);
+      next += take;
+      if (next == records.size()) {
+        return blocked_s;
+      }
+      // Chunk the stream: ship the full batch and continue the same
+      // (src, dst) stream in a fresh segment. Records were combined and
+      // priced for the whole task above, so chunking cannot change the cost
+      // model's byte count.
+      ++stats_.flush_size;
+      blocked_s += Seal(open, send);
+      Open(open, dst_machine);
     }
-    CloseSegment(open.batch, header_at, count, priced);
-    return blocked_s;
   }
 
   static size_t BeginSegment(WireBatch& batch, PartitionId src,
@@ -522,6 +610,10 @@ class WireStager {
   WireBufferPool* pool_;
   MachineId src_machine_;
   bool combine_;
+  std::span<const VertexId> starts_;
+  /// Dense-merge slot per vertex offset of the largest partition; kNoSlot
+  /// between streams.
+  std::vector<uint32_t> slots_;
   std::vector<OpenBatch> open_;
   WireStagerStats stats_;
 };

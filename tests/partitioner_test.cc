@@ -216,6 +216,27 @@ TEST(VertexEncodingTest, RoundTripAndRanges) {
   }
 }
 
+TEST(VertexEncodingTest, PartitionOfSkipsEmptyPartitions) {
+  // Partitions 0, 2, 3 and 6 are empty; each ID belongs to the last
+  // partition whose start is <= it, and an ID past the end maps to P.
+  std::vector<VertexId> identity(10);
+  for (VertexId v = 0; v < 10; ++v) {
+    identity[v] = v;
+  }
+  const std::vector<VertexId> starts = {0, 0, 3, 3, 3, 7, 10, 10};
+  auto enc = VertexEncoding::FromMapping(identity, starts);
+  ASSERT_TRUE(enc.ok());
+  for (VertexId e = 0; e <= 10; ++e) {
+    const auto it = std::upper_bound(starts.begin(), starts.end(), e);
+    EXPECT_EQ(enc->PartitionOf(e),
+              static_cast<PartitionId>(it - starts.begin()) - 1)
+        << "id " << e;
+  }
+  EXPECT_EQ(enc->PartitionOf(0), 1u);
+  EXPECT_EQ(enc->PartitionOf(3), 4u);
+  EXPECT_EQ(enc->PartitionOf(9), 5u);
+}
+
 TEST(VertexEncodingTest, ReencodePreservesStructure) {
   const Graph g = TestGraph();
   auto random = RandomPartition(g, 4, 9);

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -40,6 +41,10 @@ static_assert(WireSerializableApp<SumApp>);
 using Real = std::vector<std::pair<VertexId, uint32_t>>;
 using Virtual = std::vector<std::pair<uint64_t, uint32_t>>;
 
+/// Eight partitions of 100 vertices: partition d owns [100 d, 100 d + 100).
+const std::vector<VertexId> kStarts = {0,   100, 200, 300, 400,
+                                       500, 600, 700, 800};
+
 /// Stages one task through a fresh stager and collects every sealed batch.
 struct Harness {
   SumApp app;
@@ -51,7 +56,18 @@ struct Harness {
 
   WireStager<SumApp> MakeStager(bool combine = true) {
     return WireStager<SumApp>(&app, options, &pool, /*src_machine=*/0,
-                              /*num_machines=*/4, combine);
+                              /*num_machines=*/4, combine, kStarts);
+  }
+  /// Segment record counts of every sent batch, in order.
+  std::vector<uint32_t> SegmentCounts() const {
+    std::vector<uint32_t> counts;
+    for (const WireBatch& batch : sent) {
+      WireBatchReader<uint32_t> reader(batch);
+      while (auto segment = reader.Next()) {
+        counts.push_back(segment->header.count);
+      }
+    }
+    return counts;
   }
   auto Sender() {
     return [this](WireBatch&& batch) {
@@ -93,7 +109,7 @@ TEST(WireBatchTest, EmptyTaskSealsNothing) {
 TEST(WireBatchTest, SingleMessageRoundTrip) {
   Harness h;
   WireStager<SumApp> stager = h.MakeStager();
-  Real real = {{VertexId{42}, 7u}};
+  Real real = {{VertexId{542}, 7u}};
   Virtual virtuals;
   stager.StageTask(3, 5, /*dst_machine=*/2, real, virtuals, h.Sender());
   stager.FlushAll(h.Sender());
@@ -112,14 +128,14 @@ TEST(WireBatchTest, SingleMessageRoundTrip) {
   EXPECT_EQ(segment->header.dst_partition, 5u);
   EXPECT_EQ(segment->header.kind, kWireSegmentReal);
   ASSERT_EQ(segment->real.size(), 1u);
-  EXPECT_EQ(segment->real[0], (std::pair<VertexId, uint32_t>{42u, 7u}));
+  EXPECT_EQ(segment->real[0], (std::pair<VertexId, uint32_t>{542u, 7u}));
   EXPECT_FALSE(reader.Next().has_value());
 }
 
 TEST(WireBatchTest, VirtualRecordsRoundTripWith64BitTargets) {
   Harness h;
   WireStager<SumApp> stager = h.MakeStager();
-  Real real = {{1u, 10u}};
+  Real real = {{201u, 10u}};
   Virtual virtuals = {{1ull << 40, 3u}, {7u, 4u}};
   stager.StageTask(0, 2, /*dst_machine=*/1, real, virtuals, h.Sender());
   stager.FlushAll(h.Sender());
@@ -127,38 +143,68 @@ TEST(WireBatchTest, VirtualRecordsRoundTripWith64BitTargets) {
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].num_segments, 2u);  // one real + one virtual
   auto [got_real, got_virtual] = h.Decode();
-  EXPECT_EQ(got_real, (Real{{1u, 10u}}));
+  EXPECT_EQ(got_real, (Real{{201u, 10u}}));
   EXPECT_EQ(got_virtual, (Virtual{{1ull << 40, 3u}, {7u, 4u}}));
 }
 
 TEST(WireBatchTest, FullBatchChunksStreamAcrossBatchesLosslessly) {
-  // A cap that fits the header plus only a few records forces mid-stream
-  // size flushes: the stream must arrive chunked but complete, in order,
-  // with the priced bytes preserved across chunks.
-  WireBatchOptions options;
-  options.max_batch_bytes = sizeof(WireSegmentHeader) + 4 * 8;
-  Harness h(options);
-  WireStager<SumApp> stager = h.MakeStager();
-  Real real;
-  for (uint32_t i = 0; i < 100; ++i) {
-    real.emplace_back(VertexId{i}, i * 2 + 1);
-  }
-  const Real expected = real;
-  Virtual virtuals;
-  stager.StageTask(1, 2, /*dst_machine=*/3, real, virtuals, h.Sender());
-  stager.FlushAll(h.Sender());
+  // Caps that fit only a few 8-byte records force mid-stream size flushes:
+  // each stream must arrive chunked but complete, in order, with the priced
+  // bytes preserved across chunks. A 3-record stream then a 10-record
+  // stream go to one machine; the pinned chunkings are those of a
+  // record-at-a-time encoder (write a segment's first record always, each
+  // later one only while it fits).
+  constexpr size_t kHeader = sizeof(WireSegmentHeader);
+  constexpr size_t kRecord = sizeof(VertexId) + sizeof(uint32_t);
+  const struct {
+    const char* name;
+    size_t cap;
+    std::vector<uint32_t> segment_counts;
+    std::vector<uint64_t> batch_priced;
+    uint64_t flush_size;
+  } cases[] = {
+      {"filled exactly", kHeader + 4 * kRecord, {3, 4, 4, 2},
+       {12, 16, 16, 8}, 3},
+      {"one record short", kHeader + 4 * kRecord - 1, {3, 3, 3, 3, 1},
+       {12, 12, 12, 12, 4}, 4},
+      {"below header plus one record", kHeader + kRecord - 1,
+       std::vector<uint32_t>(13, 1), std::vector<uint64_t>(13, 4), 12},
+      {"second stream continues an open batch", 2 * kHeader + 8 * kRecord,
+       {3, 5, 5}, {32, 20}, 1},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    WireBatchOptions options;
+    options.max_batch_bytes = c.cap;
+    Harness h(options);
+    WireStager<SumApp> stager = h.MakeStager();
+    Real expected;
+    Virtual virtuals;
+    for (const auto& [dst, size] : {std::pair<PartitionId, uint32_t>{3, 3},
+                                    std::pair<PartitionId, uint32_t>{2, 10}}) {
+      Real real;
+      for (uint32_t i = 0; i < size; ++i) {
+        real.emplace_back(VertexId{dst * 100 + i}, i * 2 + 1);
+      }
+      expected.insert(expected.end(), real.begin(), real.end());
+      stager.StageTask(1, dst, /*dst_machine=*/3, real, virtuals, h.Sender());
+    }
+    stager.FlushAll(h.Sender());
 
-  EXPECT_GT(h.sent.size(), 1u);
-  uint64_t priced_total = 0;
-  for (const WireBatch& batch : h.sent) {
-    EXPECT_LE(batch.wire_size(), options.max_batch_bytes);
-    priced_total += batch.priced_bytes;
+    EXPECT_EQ(h.SegmentCounts(), c.segment_counts);
+    std::vector<uint64_t> priced;
+    for (const WireBatch& batch : h.sent) {
+      // A batch exceeds the cap only to carry its one record.
+      EXPECT_LE(batch.wire_size(), std::max(c.cap, kHeader + kRecord));
+      priced.push_back(batch.priced_bytes);
+    }
+    EXPECT_EQ(priced, c.batch_priced);
+    EXPECT_EQ(stager.stats().flush_size, c.flush_size);
+    EXPECT_EQ(stager.stats().flush_stage_end, 1u);
+    auto [got_real, got_virtual] = h.Decode();
+    EXPECT_EQ(got_real, expected);
+    EXPECT_TRUE(got_virtual.empty());
   }
-  EXPECT_EQ(priced_total, 100 * sizeof(uint32_t));
-  auto [got_real, got_virtual] = h.Decode();
-  EXPECT_EQ(got_real, expected);
-  EXPECT_TRUE(got_virtual.empty());
-  EXPECT_GT(stager.stats().flush_size, 0u);
 }
 
 // --------------------------------------------------- wire combination
@@ -166,7 +212,7 @@ TEST(WireBatchTest, FullBatchChunksStreamAcrossBatchesLosslessly) {
 TEST(WireBatchTest, StageTaskMergesDuplicateTargetsBeforePricing) {
   Harness h;
   WireStager<SumApp> stager = h.MakeStager(/*combine=*/true);
-  Real real = {{5u, 1u}, {9u, 10u}, {5u, 2u}, {5u, 4u}};
+  Real real = {{105u, 1u}, {109u, 10u}, {105u, 2u}, {105u, 4u}};
   Virtual virtuals = {{77u, 1u}, {77u, 1u}};
   stager.StageTask(0, 1, /*dst_machine=*/1, real, virtuals, h.Sender());
   stager.FlushAll(h.Sender());
@@ -177,23 +223,125 @@ TEST(WireBatchTest, StageTaskMergesDuplicateTargetsBeforePricing) {
   EXPECT_EQ(h.sent[0].num_messages, 3u);
   EXPECT_EQ(h.sent[0].priced_bytes, 3 * sizeof(uint32_t));
   auto [got_real, got_virtual] = h.Decode();
-  ASSERT_EQ(got_real.size(), 2u);
-  for (const auto& [target, value] : got_real) {
-    EXPECT_EQ(value, target == 5u ? 7u : 10u);  // 1+2+4 merged by sum
-  }
+  // 1+2+4 merged by sum, in first-occurrence order.
+  EXPECT_EQ(got_real, (Real{{105u, 7u}, {109u, 10u}}));
   EXPECT_EQ(got_virtual, (Virtual{{77u, 2u}}));
 }
 
 TEST(WireBatchTest, CombineOffKeepsEveryRecord) {
   Harness h;
   WireStager<SumApp> stager = h.MakeStager(/*combine=*/false);
-  Real real = {{5u, 1u}, {5u, 2u}, {5u, 4u}};
+  Real real = {{105u, 1u}, {105u, 2u}, {105u, 4u}};
   Virtual virtuals;
   stager.StageTask(0, 1, /*dst_machine=*/1, real, virtuals, h.Sender());
   stager.FlushAll(h.Sender());
   EXPECT_EQ(stager.stats().messages_combined, 0u);
   auto [got_real, got_virtual] = h.Decode();
-  EXPECT_EQ(got_real, (Real{{5u, 1u}, {5u, 2u}, {5u, 4u}}));
+  EXPECT_EQ(got_real, (Real{{105u, 1u}, {105u, 2u}, {105u, 4u}}));
+}
+
+/// Mergeable app with double messages, Merge = +: floating-point addition
+/// is not associative, so a merged value reveals its fold order.
+struct DoubleSumApp {
+  using VertexState = double;
+  using Message = double;
+
+  VertexState InitState(VertexId, std::span<const VertexId>) const {
+    return 0.0;
+  }
+  void Transfer(VertexId, const VertexState&, std::span<const VertexId>,
+                PropagationEmitter<Message>&) const {}
+  void Combine(VertexId, VertexState&, std::span<const VertexId>,
+               std::vector<Message>&) const {}
+  Message Merge(const Message& a, const Message& b) const { return a + b; }
+  size_t MessageBytes(const Message&) const { return sizeof(Message); }
+  size_t StateBytes(const VertexState&) const { return sizeof(VertexState); }
+};
+static_assert(MergeableApp<DoubleSumApp>);
+
+TEST(WireBatchTest, MergeFoldsInEmissionOrderAndResetsSlotsBetweenStreams) {
+  // Left fold in emission order: ((1e16 + 1) + -1e16) + 1 == 1, because
+  // 1e16 + 1 rounds back to 1e16. Any other order gives 0 or 2.
+  const double left_fold = ((1e16 + 1.0) + -1e16) + 1.0;
+  ASSERT_EQ(left_fold, 1.0);
+  ASSERT_NE(left_fold, (1e16 + -1e16) + (1.0 + 1.0));
+  using Records = std::vector<std::pair<VertexId, double>>;
+  using VirtualRecords = std::vector<std::pair<uint64_t, double>>;
+  // p0 owns [0, 8), p1 owns [8, 16), p2 owns [16, 18). The p1 stream reuses
+  // p0's offsets 0, 3 and 7 (each partition's first and last vertex), so a
+  // slot left over from the p0 stream would fold a p1 record into the
+  // wrong output position. Real targets merge through the dense slot
+  // table, virtual ones (ID x belongs to partition x % 3) through the hash
+  // map; both must fold the same way.
+  const std::vector<VertexId> starts = {0, 8, 16, 18};
+  const struct {
+    PartitionId dst;
+    Records emitted;
+    Records merged;
+    VirtualRecords virtual_emitted;
+    VirtualRecords virtual_merged;
+  } streams[] = {
+      {0,
+       {{7, 1e16}, {0, 5.0}, {7, 1.0}, {3, 2.0}, {7, -1e16}, {0, 0.25},
+        {7, 1.0}},
+       {{7, left_fold}, {0, 5.25}, {3, 2.0}},
+       {{9, 1e16}, {6, 1.0}, {9, 1.0}, {9, -1e16}, {9, 1.0}},
+       {{9, left_fold}, {6, 1.0}}},
+      {1,
+       {{15, 3.0}, {8, 1.0}, {12, 0.5}, {11, 4.0}},
+       {{15, 3.0}, {8, 1.0}, {12, 0.5}, {11, 4.0}},
+       {},
+       {}},
+      {0, {{0, 1.0}, {0, 2.0}, {7, 1.0}}, {{0, 3.0}, {7, 1.0}}, {}, {}},
+      {2, {{17, 1.0}, {16, 1.0}, {17, 2.0}}, {{17, 3.0}, {16, 1.0}}, {}, {}},
+  };
+  DoubleSumApp app;
+  WireBufferPool pool;
+  WireStager<DoubleSumApp> stager(&app, WireBatchOptions{}, &pool,
+                                  /*src_machine=*/0, /*num_machines=*/2,
+                                  /*combine=*/true, starts);
+  std::vector<WireBatch> sent;
+  auto send = [&](WireBatch&& batch) {
+    sent.push_back(std::move(batch));
+    return 0.0;
+  };
+  uint64_t combined = 0;
+  for (const auto& stream : streams) {
+    Records real = stream.emitted;
+    VirtualRecords virtuals = stream.virtual_emitted;
+    stager.StageTask(/*src=*/1, stream.dst, /*dst_machine=*/1, real, virtuals,
+                     send);
+    combined += stream.emitted.size() - stream.merged.size() +
+                stream.virtual_emitted.size() - stream.virtual_merged.size();
+    EXPECT_EQ(stager.stats().messages_combined, combined);
+  }
+  stager.FlushAll(send);
+
+  // Byte-for-byte equality of each merged value, in first-occurrence order.
+  auto expect_bits = [](const auto& got, const auto& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].first, want[i].first);
+      EXPECT_EQ(std::memcmp(&got[i].second, &want[i].second, sizeof(double)),
+                0)
+          << "target " << want[i].first << ": got " << got[i].second;
+    }
+  };
+  ASSERT_EQ(sent.size(), 1u);
+  WireBatchReader<double> reader(sent[0], starts);
+  for (const auto& stream : streams) {
+    auto segment = reader.Next();
+    ASSERT_TRUE(segment.has_value());
+    EXPECT_EQ(segment->header.dst_partition, stream.dst);
+    expect_bits(segment->real, stream.merged);
+    if (!stream.virtual_merged.empty()) {
+      segment = reader.Next();
+      ASSERT_TRUE(segment.has_value());
+      expect_bits(segment->virtuals, stream.virtual_merged);
+    }
+  }
+  EXPECT_FALSE(reader.Next().has_value());
+  EXPECT_TRUE(reader.status().ok());
 }
 
 // ------------------------------------------------------- flush policy
@@ -203,7 +351,7 @@ TEST(WireBatchTest, DeadlineFlushShipsIdleBatches) {
   options.flush_deadline_seconds = 0.0;  // everything is instantly overdue
   Harness h(options);
   WireStager<SumApp> stager = h.MakeStager();
-  Real real = {{1u, 1u}};
+  Real real = {{101u, 1u}};
   Virtual virtuals;
   stager.StageTask(0, 1, /*dst_machine=*/1, real, virtuals, h.Sender());
   EXPECT_TRUE(h.sent.empty());  // still open after the task
@@ -220,7 +368,7 @@ TEST(WireBatchTest, StageEndFlushSealsEveryOpenDestination) {
   WireStager<SumApp> stager = h.MakeStager();
   Virtual virtuals;
   for (MachineId dst = 1; dst < 4; ++dst) {
-    Real real = {{dst, dst}};
+    Real real = {{dst * 100, dst}};
     stager.StageTask(0, dst, dst, real, virtuals, h.Sender());
   }
   EXPECT_TRUE(h.sent.empty());
@@ -235,8 +383,9 @@ TEST(WireBatchTest, StageEndFlushSealsEveryOpenDestination) {
 /// One real segment for destination `dst` claiming `count` records, followed
 /// by `records`, cut to `keep` bytes. The payload holds no spare capacity, so
 /// ASan sees any read past it.
-WireBatch CraftBatch(uint32_t dst, uint32_t count, const Real& records,
-                     size_t keep = SIZE_MAX, uint32_t kind = kWireSegmentReal) {
+template <typename Records>
+WireBatch CraftSegment(uint32_t dst, uint32_t count, const Records& records,
+                       size_t keep, uint32_t kind) {
   WireSegmentHeader header;
   header.dst_partition = dst;
   header.kind = kind;
@@ -250,6 +399,17 @@ WireBatch CraftBatch(uint32_t dst, uint32_t count, const Real& records,
   batch.payload.resize(std::min(keep, batch.payload.size()));
   batch.payload.shrink_to_fit();
   return batch;
+}
+
+WireBatch CraftBatch(uint32_t dst, uint32_t count, const Real& records,
+                     size_t keep = SIZE_MAX, uint32_t kind = kWireSegmentReal) {
+  return CraftSegment(dst, count, records, keep, kind);
+}
+
+/// One virtual segment for `dst` holding `records`.
+WireBatch CraftVirtualBatch(uint32_t dst, const Virtual& records) {
+  return CraftSegment(dst, static_cast<uint32_t>(records.size()), records,
+                      SIZE_MAX, kWireSegmentVirtual);
 }
 
 TEST(WireBatchTest, MalformedBatchesAreCorruption) {
@@ -270,6 +430,9 @@ TEST(WireBatchTest, MalformedBatchesAreCorruption) {
        true},
       {"real target outside the destination", CraftBatch(1, 1, {{3u, 1u}}),
        true},
+      // Virtual ID x belongs to partition x % 2; 4 is not p1's.
+      {"virtual target routed to the wrong partition",
+       CraftVirtualBatch(1, {{5u, 1u}, {4u, 1u}}), true},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
@@ -280,6 +443,7 @@ TEST(WireBatchTest, MalformedBatchesAreCorruption) {
     EXPECT_FALSE(reader.NextInto(segment));
     EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
     EXPECT_TRUE(segment.real.empty());
+    EXPECT_TRUE(segment.virtuals.empty());
     EXPECT_FALSE(reader.NextInto(segment));  // stays stopped
   }
 
@@ -290,6 +454,14 @@ TEST(WireBatchTest, MalformedBatchesAreCorruption) {
   EXPECT_EQ(segment->real, (Real{{12u, 1u}}));
   EXPECT_FALSE(reader.Next().has_value());
   EXPECT_TRUE(reader.status().ok());
+
+  const WireBatch good_virtual =
+      CraftVirtualBatch(1, {{5u, 1u}, {(1ull << 40) + 1, 2u}});
+  WireBatchReader<uint32_t> virtual_reader(good_virtual, starts);
+  segment = virtual_reader.Next();
+  ASSERT_TRUE(segment.has_value());
+  EXPECT_EQ(segment->virtuals, (Virtual{{5u, 1u}, {(1ull << 40) + 1, 2u}}));
+  EXPECT_TRUE(virtual_reader.status().ok());
 }
 
 // ------------------------------------------------------- buffer pool
