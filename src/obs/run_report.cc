@@ -49,6 +49,14 @@ Status RequireNumber(const JsonValue& obj, const std::string& key) {
   return Expect(v != nullptr && v->is_number(), "missing number '" + key + "'");
 }
 
+/// A field later schema revisions added without a version bump: older
+/// reports may omit it, but when present it must be a number.
+Status OptionalNumber(const JsonValue& obj, const std::string& key) {
+  const JsonValue* v = obj.Find(key);
+  return Expect(v == nullptr || v->is_number(),
+                "'" + key + "' must be a number");
+}
+
 }  // namespace
 
 JsonValue BuildProvenance() {
@@ -269,6 +277,10 @@ Status ValidateRunReport(const JsonValue& report) {
           "barrier_generations", "wall_seconds", "network_bytes"}) {
       SURFER_RETURN_IF_ERROR(RequireNumber(*runtime, key));
     }
+    for (const char* key :
+         {"barrier_waits_spun", "barrier_waits_parked", "handoff_seconds"}) {
+      SURFER_RETURN_IF_ERROR(OptionalNumber(*runtime, key));
+    }
     const JsonValue* channels = runtime->Find("channels");
     SURFER_RETURN_IF_ERROR(Expect(channels != nullptr && channels->is_array(),
                                   "runtime.channels missing"));
@@ -300,6 +312,7 @@ Status ValidateRunReport(const JsonValue& report) {
       SURFER_RETURN_IF_ERROR(
           Expect(step.is_object(), "timeline step must be an object"));
       SURFER_RETURN_IF_ERROR(RequireNumber(step, "iteration"));
+      SURFER_RETURN_IF_ERROR(OptionalNumber(step, "handoff_s"));
       const JsonValue* stage = step.Find("stage");
       SURFER_RETURN_IF_ERROR(Expect(
           stage != nullptr && stage->is_string() &&

@@ -1,32 +1,118 @@
 #include "runtime/barrier.h"
 
-#include <chrono>
+#include <algorithm>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace surfer {
 namespace runtime {
 
+namespace {
+
+/// Generation checks between two poll-and-yield steps of a spinning waiter.
+constexpr uint32_t kSpinChecksPerYield = 16;
+
+/// Tells the core this is a spin-wait loop (frees pipeline resources for a
+/// sibling hyperthread); a plain no-op where the ISA has no such hint.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+}  // namespace
+
 BspBarrier::BspBarrier(uint32_t participants) : participants_(participants) {}
 
-double BspBarrier::ArriveAndWait(const std::function<void()>& poll) {
+uint32_t BspBarrier::HostThreads() {
+  uint32_t threads = std::thread::hardware_concurrency();
+#if defined(__linux__)
+  // A process confined by taskset or a cgroup cpuset runs on fewer CPUs
+  // than the machine has; spinning must be sized to those.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const uint32_t allowed = static_cast<uint32_t>(CPU_COUNT(&set));
+    threads = threads == 0 ? allowed : std::min(threads, allowed);
+  }
+#endif
+  return std::max(threads, 1u);
+}
+
+bool BspBarrier::SpinFits(uint32_t spinners) {
+  const uint32_t host = HostThreads();
+  return host > 1 && spinners <= host;
+}
+
+void BspBarrier::Release(std::unique_lock<std::mutex>& lock) {
+  arrived_ = 0;
+  release_ticks_.store(
+      std::chrono::steady_clock::now().time_since_epoch().count(),
+      std::memory_order_relaxed);
+  // Release order publishes the flip instant, and everything the arrivers
+  // did before arriving, to waiters that observe the new generation
+  // without taking the lock.
+  generation_.fetch_add(1, std::memory_order_release);
+  lock.unlock();
+  released_.notify_all();
+}
+
+double BspBarrier::ArriveAndWait(const std::function<void()>& poll,
+                                 bool spin) {
   const auto start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(mu_);
-  const uint64_t my_generation = generation_;
+  const uint64_t my_generation = generation_.load(std::memory_order_relaxed);
   if (++arrived_ >= participants_) {
-    arrived_ = 0;
-    ++generation_;
-    lock.unlock();
-    released_.notify_all();
+    Release(lock);
     return 0.0;
   }
   waiting_.fetch_add(1, std::memory_order_relaxed);
-  while (generation_ == my_generation) {
+  const auto released = [&] {
+    return generation_.load(std::memory_order_acquire) != my_generation;
+  };
+  const auto finish = [&](std::atomic<uint64_t>& counter) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+    waiting_.fetch_sub(1, std::memory_order_relaxed);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  if (spin) {
+    lock.unlock();
+    const auto deadline = start + kSpinBudget;
+    for (uint32_t check = 1;; ++check) {
+      if (released()) {
+        return finish(spun_);
+      }
+      if (check % kSpinChecksPerYield != 0) {
+        CpuRelax();
+        continue;
+      }
+      if (poll) {
+        poll();
+      }
+      // Yielding keeps a straggler sharing this CPU moving; a pause-only
+      // spin measured bimodal stage times.
+      std::this_thread::yield();
+      if (std::chrono::steady_clock::now() >= deadline) {
+        break;
+      }
+    }
+    lock.lock();
+  }
+  while (!released()) {
     if (poll) {
       // Drop the lock so the poll callback can touch channels freely; the
       // generation check re-reads under the lock afterwards.
       lock.unlock();
       poll();
       lock.lock();
-      if (generation_ != my_generation) {
+      if (released()) {
         break;
       }
       // Short timeout: the poll callback is typically a channel drain, and
@@ -34,13 +120,11 @@ double BspBarrier::ArriveAndWait(const std::function<void()>& poll) {
       // whose consumers are already parked here.
       released_.wait_for(lock, std::chrono::microseconds(100));
     } else {
-      released_.wait(lock, [&] { return generation_ != my_generation; });
+      released_.wait(lock, released);
     }
   }
-  waiting_.fetch_sub(1, std::memory_order_relaxed);
   lock.unlock();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
+  return finish(parked_);
 }
 
 void BspBarrier::Defect() {
@@ -49,18 +133,12 @@ void BspBarrier::Defect() {
     --participants_;
   }
   if (arrived_ > 0 && arrived_ >= participants_) {
-    arrived_ = 0;
-    ++generation_;
-    lock.unlock();
-    released_.notify_all();
-    return;
+    Release(lock);
   }
-  lock.unlock();
 }
 
 uint64_t BspBarrier::generation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return generation_;
+  return generation_.load(std::memory_order_acquire);
 }
 
 uint32_t BspBarrier::participants() const {

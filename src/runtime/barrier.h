@@ -2,6 +2,7 @@
 #define SURFER_RUNTIME_BARRIER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -13,25 +14,59 @@ namespace runtime {
 /// Reusable BSP barrier with dynamic membership.
 ///
 /// Workers call ArriveAndWait between superstep stages; the last arriver
-/// flips the generation and releases everyone. Two extensions over a plain
-/// std::barrier drive the runtime's needs:
+/// flips the generation and releases everyone. Three extensions over a
+/// plain std::barrier drive the runtime's needs:
 ///   - ArriveAndWait accepts a `poll` callback invoked periodically while
 ///     waiting, so a blocked worker keeps draining its inbound channels
 ///     (without this, a full channel could deadlock against the barrier).
+///   - A waiter may spin for kSpinBudget before parking on the condition
+///     variable, so a release that lands soon after it arrived costs no
+///     futex wake-up. Callers decide whether to spin with SpinFits.
 ///   - Defect() removes a participant for all future generations, used when
 ///     a worker thread exits early; if the defector was the last straggler
 ///     of the current generation, the generation completes.
 class BspBarrier {
  public:
+  /// How long a spinning waiter keeps checking the generation before it
+  /// parks. On a 4-vCPU host the threaded engine's 20-stage NR job spent
+  /// 3-10 ms per job (150-500 us per stage) waking parked workers, against
+  /// ~1 ms of load imbalance (~50 us per stage) and ~0.7 ms of task loop per
+  /// stage on the slowest worker. 300 us catches the release of a balanced
+  /// stage with margin, and a waiter behind a real straggler burns less than
+  /// half a stage of CPU before it parks.
+  static constexpr std::chrono::microseconds kSpinBudget{300};
+
+  /// Counts of completed waits by how they were released. The last arriver
+  /// of a generation does not wait and is counted in neither.
+  struct WaitCounts {
+    uint64_t spun = 0;    ///< released while still spinning
+    uint64_t parked = 0;  ///< released after parking (or never spun)
+  };
+
   explicit BspBarrier(uint32_t participants);
 
   BspBarrier(const BspBarrier&) = delete;
   BspBarrier& operator=(const BspBarrier&) = delete;
 
+  /// Hardware threads this process may run on: its CPU affinity set where
+  /// the platform reports one, std::thread::hardware_concurrency()
+  /// otherwise; at least 1.
+  static uint32_t HostThreads();
+
+  /// The host rule for spinning: `spinners` threads may spin-wait only when
+  /// each fits on its own hardware thread of a multi-core host. Otherwise
+  /// a spinner would take the CPU a straggler or the releasing thread
+  /// needs, so waiters park at once.
+  static bool SpinFits(uint32_t spinners);
+
   /// Blocks until all current participants have arrived. Returns the wall
-  /// seconds spent waiting. `poll`, when set, is invoked outside the barrier
-  /// lock roughly once per millisecond while waiting.
-  double ArriveAndWait(const std::function<void()>& poll = {});
+  /// seconds spent waiting. With `spin`, the waiter first spins for
+  /// kSpinBudget (yielding the CPU every few checks) and only then parks;
+  /// callers pass it only when SpinFits holds for every thread that does.
+  /// `poll`, when set, is invoked outside the barrier lock while waiting:
+  /// between spin rounds, then roughly every 100 us once parked.
+  double ArriveAndWait(const std::function<void()>& poll = {},
+                       bool spin = false);
 
   /// Permanently removes one participant (caller must not arrive afterwards).
   void Defect();
@@ -39,20 +74,42 @@ class BspBarrier {
   uint64_t generation() const;
   uint32_t participants() const;
 
-  /// Participants currently parked inside ArriveAndWait. Lock-free mirror
-  /// for the telemetry sampler: a sustained value near participants() - 1
-  /// means everyone is idling behind one straggler.
+  /// Steady-clock instant at which the most recent generation flipped. A
+  /// participant that just left a generation reads that generation's flip:
+  /// the next one cannot happen before it arrives again.
+  std::chrono::steady_clock::time_point last_release() const {
+    return std::chrono::steady_clock::time_point(
+        std::chrono::steady_clock::duration(
+            release_ticks_.load(std::memory_order_acquire)));
+  }
+
+  WaitCounts wait_counts() const {
+    return {spun_.load(std::memory_order_relaxed),
+            parked_.load(std::memory_order_relaxed)};
+  }
+
+  /// Participants currently inside ArriveAndWait, spinning or parked.
+  /// Lock-free mirror for the telemetry sampler: a sustained value near
+  /// participants() - 1 means everyone is idling behind one straggler.
   uint32_t ApproxWaiting() const {
     return waiting_.load(std::memory_order_relaxed);
   }
 
  private:
+  /// Completes the current generation; `lock` must hold mu_ on entry and is
+  /// released before waking the parked waiters.
+  void Release(std::unique_lock<std::mutex>& lock);
+
   mutable std::mutex mu_;
   std::condition_variable released_;
   uint32_t participants_;
   uint32_t arrived_ = 0;
-  uint64_t generation_ = 0;
+  /// Written under mu_; atomic so spinning waiters can read it lock-free.
+  std::atomic<uint64_t> generation_{0};
+  std::atomic<std::chrono::steady_clock::rep> release_ticks_{0};
   std::atomic<uint32_t> waiting_{0};
+  std::atomic<uint64_t> spun_{0};
+  std::atomic<uint64_t> parked_{0};
 };
 
 }  // namespace runtime

@@ -185,6 +185,9 @@ class RuntimeExecutor {
     }
     drain_phase_.assign(num_workers, DrainPhase{});
     barrier_ = std::make_unique<BspBarrier>(num_workers + 1);
+    // Workers spin-then-park only when each has a hardware thread of its
+    // own; the main thread always parks, leaving the CPUs to the workers.
+    workers_spin_ = BspBarrier::SpinFits(num_workers);
     phase_ = Phase{};
 
     // Telemetry mirrors live whether or not the sampler runs: each is one
@@ -211,6 +214,8 @@ class RuntimeExecutor {
     // main thread reads it after the join.
     step_phases_.assign(static_cast<size_t>(config_.iterations) * 2,
                         std::vector<PhaseSeconds>(num_machines));
+    handoff_s_.assign(static_cast<size_t>(config_.iterations) * 2,
+                      std::vector<double>(num_workers, 0.0));
     sharded_.reset();
     if (config_.tracer != nullptr && obs::Tracer::CompiledIn()) {
       sharded_ = std::make_unique<obs::ShardedTracer>(
@@ -242,10 +247,11 @@ class RuntimeExecutor {
       if (!status.ok()) {
         break;
       }
-      // Flush point: workers are parked at the next start barrier, so their
-      // shards only grow while we drain (SPSC-safe either way). One flush
-      // per iteration keeps ring occupancy bounded without touching the
-      // global tracer mutex from the hot path.
+      // Flush point: workers are past their last task of the iteration
+      // (finishing their final drain or parked at the next start barrier),
+      // so their shards only grow while we drain (SPSC-safe either way).
+      // One flush per iteration keeps ring occupancy bounded without
+      // touching the global tracer mutex from the hot path.
       if (sharded_ != nullptr) {
         sharded_->Flush();
       }
@@ -261,7 +267,7 @@ class RuntimeExecutor {
     }
 
     // Publish the shutdown phase whether or not the run succeeded; workers
-    // are all parked at the start barrier by construction.
+    // read phase_ only after the start barrier releases them.
     phase_.kind = PhaseKind::kShutdown;
     MainBarrier();
     for (std::thread& t : workers) {
@@ -550,8 +556,9 @@ class RuntimeExecutor {
         }
         const MachineId m = placement_->FirstAliveReplica(p, alive_);
         if (m == kInvalidMachine) {
-          // Workers stay parked at the start barrier; Run publishes the
-          // shutdown phase and joins them before surfacing this error.
+          // Workers are at (or draining on their way to) the start
+          // barrier; Run publishes the shutdown phase and joins them
+          // before surfacing this error.
           return Status::Internal(
               "all replicas of partition " + std::to_string(p) +
               " are dead; " + StageName(kind) + " stage cannot recover");
@@ -564,10 +571,12 @@ class RuntimeExecutor {
             Seconds(std::chrono::steady_clock::now() - run_start_);
         return Status::OK();
       }
+      // Two generations per round: each worker's final drain precedes its
+      // next start-barrier arrival, so that barrier orders the drain before
+      // any consumer of the inboxes.
       phase_ = std::move(phase);
       locals_[num_workers_].barrier_wait_seconds += MainBarrier();  // start
       locals_[num_workers_].barrier_wait_seconds += MainBarrier();  // work done
-      locals_[num_workers_].barrier_wait_seconds += MainBarrier();  // drained
       recovery = true;
     }
   }
@@ -577,17 +586,22 @@ class RuntimeExecutor {
   void WorkerMain(uint32_t w) {
     WorkerLocal& local = locals_[w];
     for (;;) {
-      const double start_wait = barrier_->ArriveAndWait();  // start barrier
+      const double start_wait =
+          barrier_->ArriveAndWait({}, workers_spin_);  // start barrier
+      // Hand-off lag: from the generation's flip to this worker running.
+      const double handoff = Seconds(std::chrono::steady_clock::now() -
+                                     barrier_->last_release());
       RecordBarrierWait(local, start_wait);
       if (phase_.kind == PhaseKind::kShutdown) {
         return;
       }
       const Phase& phase = phase_;
-      // Copied out because phase_ is only stable until our last barrier of
-      // this round releases the main thread to publish the next phase.
+      // Copied out because phase_ is only stable until the work-done
+      // barrier releases the main thread to publish the next phase.
       const int iteration = phase.iteration;
       const PhaseKind kind = phase.kind;
       drain_phase_[w] = DrainPhase{iteration, kind};
+      handoff_s_[StepIndex(iteration, kind)][w] += handoff;
       // Run-state gauge: the stage being worked (PhaseKind value), 0 while
       // parked at a barrier. One relaxed store per stage round.
       worker_state_[w].store(static_cast<uint32_t>(kind),
@@ -630,15 +644,14 @@ class RuntimeExecutor {
       }
       worker_state_[w].store(0, std::memory_order_relaxed);
       const double work_wait =
-          barrier_->ArriveAndWait([this, w] { Drain(w); });
+          barrier_->ArriveAndWait([this, w] { Drain(w); }, workers_spin_);
       RecordBarrierWait(local, work_wait);
       // All sends of this stage were accepted before the work-done barrier
-      // released, so one final sweep leaves every owned channel empty.
+      // released, so one final sweep leaves every owned channel empty. It
+      // precedes this worker's next start-barrier arrival, which is what
+      // orders it before the next stage consumes the inboxes.
       Drain(w);
-      const double drain_wait = barrier_->ArriveAndWait();  // drain done
-      RecordBarrierWait(local, drain_wait);
-      AttributeBarrierWait(iteration, kind, w,
-                           start_wait + work_wait + drain_wait);
+      AttributeBarrierWait(iteration, kind, w, start_wait + work_wait);
     }
   }
 
@@ -806,6 +819,9 @@ class RuntimeExecutor {
     stats_.num_machines = num_machines_;
     stats_.iterations = config_.iterations;
     stats_.barrier_generations = barrier_->generation();
+    const BspBarrier::WaitCounts waits = barrier_->wait_counts();
+    stats_.barrier_waits_spun = waits.spun;
+    stats_.barrier_waits_parked = waits.parked;
     stats_.link_bytes.assign(
         static_cast<size_t>(num_machines_) * num_machines_, 0);
     for (const WorkerLocal& local : locals_) {
@@ -864,9 +880,14 @@ class RuntimeExecutor {
         profile.end_s = step_bounds_[step].second;
       }
       profile.machines = std::move(step_phases_[step]);
+      for (double lag : handoff_s_[step]) {
+        profile.handoff_s = std::max(profile.handoff_s, lag);
+      }
+      stats_.handoff_seconds += profile.handoff_s;
       stats_.timeline.push_back(std::move(profile));
     }
     step_phases_.clear();
+    handoff_s_.clear();
     if (sharded_ != nullptr) {
       stats_.trace_events_dropped = sharded_->total_dropped();
     }
@@ -955,6 +976,9 @@ class RuntimeExecutor {
   std::vector<std::vector<MachineId>> owned_machines_;
   std::vector<std::unique_ptr<BoundedChannel<WireBatch>>> channels_;
   std::unique_ptr<BspBarrier> barrier_;
+  /// Whether workers spin before parking at the barrier (BspBarrier's host
+  /// rule for num_workers_ spinners); the main thread never spins.
+  bool workers_spin_ = false;
   /// Payload freelist shared by all stagers (thread-safe on its own).
   std::unique_ptr<WireBufferPool> pool_;
   /// stagers_[m]: machine m's wire stager, touched only by m's owner worker.
@@ -989,6 +1013,10 @@ class RuntimeExecutor {
   //  - step_phases_[step][m]: written solely by m's owner worker during that
   //    superstep, read by main after the join.
   std::vector<std::vector<PhaseSeconds>> step_phases_;
+  //  - handoff_s_[step][w]: worker w's start-barrier hand-off lag, summed
+  //    over the step's rounds; written solely by w, read by main after the
+  //    join.
+  std::vector<std::vector<double>> handoff_s_;
   /// (start_s, end_s) of each superstep relative to run_start_, stamped by
   /// the main thread around the stage's barrier rounds.
   std::vector<std::pair<double, double>> step_bounds_;

@@ -71,6 +71,9 @@ obs::JsonValue RuntimeStatsToJson(const RuntimeStats& stats) {
   block.Set("barrier_wait_mean_s", stats.barrier_wait_mean_s);
   block.Set("barrier_wait_max_s", stats.barrier_wait_max_s);
   block.Set("barrier_generations", stats.barrier_generations);
+  block.Set("barrier_waits_spun", stats.barrier_waits_spun);
+  block.Set("barrier_waits_parked", stats.barrier_waits_parked);
+  block.Set("handoff_seconds", stats.handoff_seconds);
   block.Set("refetch_bytes", stats.refetch_bytes);
   block.Set("tcp_bytes_sent", stats.tcp_bytes_sent);
   block.Set("tcp_frames_sent", stats.tcp_frames_sent);

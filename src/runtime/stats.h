@@ -60,6 +60,15 @@ struct RuntimeStats {
   double barrier_wait_mean_s = 0.0;
   double barrier_wait_max_s = 0.0;
   uint64_t barrier_generations = 0;
+  /// Barrier waits released while still spinning vs after parking (workers
+  /// and main; see BspBarrier::WaitCounts). Spun stays 0 when the host
+  /// cannot give every worker its own hardware thread.
+  uint64_t barrier_waits_spun = 0;
+  uint64_t barrier_waits_parked = 0;
+  /// Stage hand-off latency summed over supersteps: per stage, the time from
+  /// the start barrier's flip to the last worker leaving it (see
+  /// SuperstepProfile::handoff_s). 0 for engines without a shared barrier.
+  double handoff_seconds = 0.0;
   uint64_t refetch_bytes = 0;  ///< replica re-reads triggered by recovery
   double wall_seconds = 0.0;
 

@@ -91,6 +91,7 @@ obs::JsonValue TimelineToJson(const std::vector<SuperstepProfile>& timeline) {
     step.Set("stage", RuntimeStageName(profile.stage));
     step.Set("start_s", profile.start_s);
     step.Set("end_s", profile.end_s);
+    step.Set("handoff_s", profile.handoff_s);
     obs::JsonValue machines = obs::JsonValue::MakeArray();
     for (MachineId m = 0; m < profile.machines.size(); ++m) {
       const PhaseSeconds& phases = profile.machines[m];

@@ -64,6 +64,12 @@ struct SuperstepProfile {
   /// telemetry timestamps against supersteps must tolerate that.
   double start_s = 0.0;
   double end_s = 0.0;
+  /// Hand-off latency: from the start barrier's flip to the last worker
+  /// leaving it. It is the largest per-worker lag, each worker's lag summed
+  /// over the stage's recovery rounds, so at most end_s - start_s. Wake-up
+  /// cost that no machine's phases see; 0 where the engine does not
+  /// measure it.
+  double handoff_s = 0.0;
   /// Indexed by machine id; machines that ran nothing stay all-zero.
   std::vector<PhaseSeconds> machines;
 };

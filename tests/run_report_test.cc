@@ -195,10 +195,27 @@ TEST(RunReportTest, RuntimeBlockValidatesAndRoundTrips) {
   EXPECT_GT(rt->Find("tasks_executed")->as_number(), 0.0);
   EXPECT_GT(rt->Find("network_bytes")->as_number(), 0.0);
   EXPECT_GT(rt->Find("barrier_generations")->as_number(), 0.0);
+  // Every non-releasing arrival is one wait, spun or parked.
+  EXPECT_EQ(rt->Find("barrier_waits_spun")->as_number() +
+                rt->Find("barrier_waits_parked")->as_number(),
+            rt->Find("barrier_generations")->as_number() *
+                rt->Find("num_workers")->as_number());
+  EXPECT_GT(rt->Find("handoff_seconds")->as_number(), 0.0);
   EXPECT_FALSE(rt->Find("channels")->as_array().empty());
   for (const obs::JsonValue& channel : rt->Find("channels")->as_array()) {
     EXPECT_GE(channel.Find("capacity")->as_number(), 1.0);
   }
+
+  // The hand-off fields are optional (older reports lack them) but typed.
+  obs::JsonValue bad_block = obs::JsonValue::MakeObject();
+  for (const auto& [key, value] : runtime_block.as_object()) {
+    bad_block.Set(key, key == "handoff_seconds" ? obs::JsonValue("fast")
+                                                : value);
+  }
+  EXPECT_FALSE(obs::ValidateRunReport(obs::BuildRunReport(
+                                          options, nullptr, nullptr, nullptr,
+                                          &bad_block))
+                   .ok());
 }
 
 TEST(RunReportTest, TimelineBlockValidatesAndRoundTrips) {

@@ -183,6 +183,122 @@ TEST(BspBarrierTest, DefectReleasesCurrentGeneration) {
   EXPECT_EQ(barrier.generation(), 2u);
 }
 
+/// Yields until `barrier` reports at least `n` threads inside ArriveAndWait.
+void AwaitWaiters(const BspBarrier& barrier, uint32_t n) {
+  while (barrier.ApproxWaiting() < n) {
+    std::this_thread::yield();
+  }
+}
+
+// Spin timing depends on scheduling the test does not control, so the
+// spin-path tests below retry until one release lands inside the budget;
+// each trial still checks the invariants that hold either way.
+constexpr int kSpinTrials = 200;
+
+TEST(BspBarrierTest, ReleaseInsideSpinBudgetIsSeenWithoutParking) {
+  // The main thread arrives only after ApproxWaiting() counts the waiter, so
+  // a trial whose waiter was released spinning also shows that spinning
+  // waiters are counted (the telemetry barrier-congestion scan reads it).
+  BspBarrier barrier(2);
+  bool released_spinning = false;
+  for (int trial = 0; trial < kSpinTrials && !released_spinning; ++trial) {
+    const BspBarrier::WaitCounts before = barrier.wait_counts();
+    std::thread waiter([&] { barrier.ArriveAndWait({}, /*spin=*/true); });
+    AwaitWaiters(barrier, 1);
+    EXPECT_EQ(barrier.ApproxWaiting(), 1u);
+    EXPECT_EQ(barrier.ArriveAndWait(), 0.0);  // the last arriver never waits
+    waiter.join();
+    EXPECT_EQ(barrier.ApproxWaiting(), 0u);
+    const BspBarrier::WaitCounts after = barrier.wait_counts();
+    EXPECT_EQ(after.spun + after.parked, before.spun + before.parked + 1);
+    released_spinning = after.spun > before.spun;
+  }
+  EXPECT_TRUE(released_spinning);
+}
+
+TEST(BspBarrierTest, ReleaseAfterSpinBudgetReturnsThroughParkedPath) {
+  BspBarrier barrier(2);
+  std::atomic<uint64_t> polls{0};
+  std::thread waiter([&] {
+    barrier.ArriveAndWait([&] { polls.fetch_add(1); }, /*spin=*/true);
+  });
+  AwaitWaiters(barrier, 1);
+  // Far past the budget, the waiter has parked; it must keep polling there.
+  std::this_thread::sleep_for(BspBarrier::kSpinBudget * 50);
+  const uint64_t polls_after_budget = polls.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_GT(polls.load(), polls_after_budget);
+  barrier.ArriveAndWait();
+  waiter.join();
+  const BspBarrier::WaitCounts counts = barrier.wait_counts();
+  EXPECT_EQ(counts.spun, 0u);
+  EXPECT_EQ(counts.parked, 1u);
+  EXPECT_EQ(barrier.generation(), 1u);
+}
+
+TEST(BspBarrierTest, DefectReleasesSpinningWaiters) {
+  bool released_spinning = false;
+  for (int trial = 0; trial < kSpinTrials && !released_spinning; ++trial) {
+    BspBarrier barrier(3);
+    std::thread a([&] { barrier.ArriveAndWait({}, /*spin=*/true); });
+    std::thread b([&] { barrier.ArriveAndWait({}, /*spin=*/true); });
+    AwaitWaiters(barrier, 2);
+    barrier.Defect();
+    a.join();
+    b.join();
+    EXPECT_EQ(barrier.generation(), 1u);
+    EXPECT_EQ(barrier.participants(), 2u);
+    const BspBarrier::WaitCounts counts = barrier.wait_counts();
+    EXPECT_EQ(counts.spun + counts.parked, 2u);
+    released_spinning = counts.spun > 0;
+  }
+  EXPECT_TRUE(released_spinning);
+}
+
+TEST(BspBarrierTest, SpinsOnlyWhenSpinnersFitTheHost) {
+  const uint32_t host = BspBarrier::HostThreads();
+  ASSERT_GE(host, 1u);
+  EXPECT_FALSE(BspBarrier::SpinFits(host + 1));
+  // A single hardware thread never spins: the spinner would hold the only
+  // CPU the releasing thread needs.
+  EXPECT_EQ(BspBarrier::SpinFits(host), host > 1);
+  EXPECT_EQ(BspBarrier::SpinFits(1), host > 1);
+}
+
+TEST(BspBarrierTest, OversubscribedBarrierParksThrough1000Generations) {
+  const uint32_t threads = BspBarrier::HostThreads() + 2;
+  const bool spin = BspBarrier::SpinFits(threads);
+  ASSERT_FALSE(spin);
+  constexpr int kGenerations = 1000;
+  BspBarrier barrier(threads);
+  std::vector<std::thread> pool;
+  for (uint32_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&] {
+      for (int g = 0; g < kGenerations; ++g) {
+        barrier.ArriveAndWait({}, spin);
+      }
+    });
+  }
+  for (std::thread& t : pool) {
+    t.join();
+  }
+  EXPECT_EQ(barrier.generation(), static_cast<uint64_t>(kGenerations));
+  const BspBarrier::WaitCounts counts = barrier.wait_counts();
+  EXPECT_EQ(counts.spun, 0u);
+  EXPECT_EQ(counts.parked, static_cast<uint64_t>(kGenerations) * (threads - 1));
+}
+
+TEST(BspBarrierTest, LastReleaseStampsEachFlip) {
+  BspBarrier barrier(2);
+  const auto before = std::chrono::steady_clock::now();
+  std::thread waiter([&] { barrier.ArriveAndWait(); });
+  barrier.ArriveAndWait();
+  waiter.join();
+  const auto after = std::chrono::steady_clock::now();
+  EXPECT_GE(barrier.last_release(), before);
+  EXPECT_LE(barrier.last_release(), after);
+}
+
 // -------------------------------------------------------- channel plan
 
 TEST(ChannelPlanTest, UniformTopologyGetsUniformCapacities) {

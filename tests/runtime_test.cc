@@ -341,6 +341,91 @@ TEST(RuntimeTest, ProfilingEnabledRunStaysBitIdenticalWithTimeline) {
   }
 }
 
+TEST(RuntimeTest, FaultFreeRunPaysTwoBarrierGenerationsPerStage) {
+  // Start and work-done per stage, two stages per iteration, plus the
+  // shutdown generation. Each worker's final drain of a stage precedes its
+  // next start-barrier arrival, so no drain generation is needed.
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  for (int iterations : {1, 3}) {
+    const PropagationConfig config =
+        ConfigFor(OptimizationLevel::kO4, iterations);
+    NetworkRankingApp app(f.graph.num_vertices());
+    for (uint32_t workers : {1u, 3u, 8u}) {
+      RuntimeOptions options;
+      options.max_workers = workers;
+      RuntimeExecutor<NetworkRankingApp> executor(
+          setup.graph, setup.placement, setup.topology, app, config, options);
+      ASSERT_TRUE(executor.Run().ok());
+      const runtime::RuntimeStats& stats = executor.stats();
+      const uint64_t generations = 2 * 2 * iterations + 1;
+      EXPECT_EQ(stats.barrier_generations, generations)
+          << iterations << " iterations, " << workers << " workers";
+      // Every arrival but each generation's last is one wait (the main
+      // thread makes workers + 1 participants).
+      EXPECT_EQ(stats.barrier_waits_spun + stats.barrier_waits_parked,
+                generations * workers);
+    }
+  }
+}
+
+TEST(RuntimeTest, HandoffLatencyIsFilledAndBoundedByStageSpan) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/3);
+  NetworkRankingApp app(f.graph.num_vertices());
+  RuntimeOptions options;
+  options.max_workers = 3;
+  RuntimeExecutor<NetworkRankingApp> executor(
+      setup.graph, setup.placement, setup.topology, app, config, options);
+  ASSERT_TRUE(executor.Run().ok());
+  const runtime::RuntimeStats& stats = executor.stats();
+  ASSERT_EQ(stats.timeline.size(), 6u);
+  double total = 0.0;
+  for (const runtime::SuperstepProfile& profile : stats.timeline) {
+    EXPECT_GE(profile.handoff_s, 0.0);
+    EXPECT_LE(profile.handoff_s, profile.end_s - profile.start_s)
+        << "iteration " << profile.iteration;
+    total += profile.handoff_s;
+  }
+  // Waking a worker always takes some time, so the sum is filled.
+  EXPECT_GT(stats.handoff_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(stats.handoff_seconds, total);
+
+  const obs::JsonValue block = runtime::TimelineToJson(stats.timeline);
+  for (const obs::JsonValue& step : block.Find("steps")->as_array()) {
+    ASSERT_NE(step.Find("handoff_s"), nullptr);
+    EXPECT_TRUE(step.Find("handoff_s")->is_number());
+  }
+}
+
+TEST(RuntimeTest, OversubscribedWorkersParkWithoutSpinning) {
+  // More workers than hardware threads: a spinner would hold a CPU a
+  // straggler needs, so every barrier wait must park.
+  constexpr uint32_t kWorkers = 8;  // one per fixture machine
+  if (runtime::BspBarrier::SpinFits(kWorkers)) {
+    GTEST_SKIP() << "host fits " << kWorkers << " spinning workers";
+  }
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+  NetworkRankingApp app(f.graph.num_vertices());
+  PropagationRunner<NetworkRankingApp> runner(
+      setup.graph, setup.placement, setup.topology, app, config);
+  ASSERT_TRUE(runner.Run(setup.sim_options).ok());
+  RuntimeOptions options;
+  options.max_workers = kWorkers;
+  RuntimeExecutor<NetworkRankingApp> executor(
+      setup.graph, setup.placement, setup.topology, app, config, options);
+  ASSERT_TRUE(executor.Run().ok());
+  ExpectBitIdentical(runner.states(), executor.states(), "oversubscribed");
+  EXPECT_EQ(executor.stats().barrier_waits_spun, 0u);
+  EXPECT_EQ(executor.stats().barrier_waits_parked,
+            executor.stats().barrier_generations * kWorkers);
+}
+
 TEST(RuntimeTest, TelemetryEnabledRunStaysBitIdentical) {
   // The flight recorder's core promise mirrors the profiler's: sampling the
   // runtime's gauges changes nothing about the computation. Run with the

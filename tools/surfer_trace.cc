@@ -120,8 +120,9 @@ void PrintTimeline(const JsonValue& report) {
   const JsonValue* steps = timeline->Find("steps");
   if (steps != nullptr && steps->is_array() && !steps->as_array().empty()) {
     std::printf("\nsuperstep timeline:\n");
-    std::printf("  %4s %-9s %9s %12s %12s %7s %-10s\n", "iter", "stage",
-                "straggler", "max_busy_s", "mean_busy_s", "skew", "dominant");
+    std::printf("  %4s %-9s %9s %12s %12s %7s %-10s %10s\n", "iter", "stage",
+                "straggler", "max_busy_s", "mean_busy_s", "skew", "dominant",
+                "handoff_s");
     for (const JsonValue& step : steps->as_array()) {
       const JsonValue* straggler = step.Find("straggler");
       if (straggler == nullptr) {
@@ -133,13 +134,14 @@ void PrintTimeline(const JsonValue& report) {
               ? "m" + std::to_string(
                           static_cast<long long>(machine->as_number()))
               : "-";
-      std::printf("  %4.0f %-9s %9s %12.6f %12.6f %7.2f %-10s\n",
+      std::printf("  %4.0f %-9s %9s %12.6f %12.6f %7.2f %-10s %10.6f\n",
                   NumberOr(step.Find("iteration"), 0),
                   StringOr(step.Find("stage"), "?").c_str(), who.c_str(),
                   NumberOr(straggler->Find("max_busy_s"), 0),
                   NumberOr(straggler->Find("mean_busy_s"), 0),
                   NumberOr(straggler->Find("skew"), 0),
-                  StringOr(straggler->Find("dominant_phase"), "-").c_str());
+                  StringOr(straggler->Find("dominant_phase"), "-").c_str(),
+                  NumberOr(step.Find("handoff_s"), 0));
     }
   }
   const JsonValue* critical = timeline->Find("critical_path");
@@ -247,6 +249,16 @@ int RunSummary(const std::string& path) {
         NumberOr(runtime->Find("wall_seconds"), 0),
         NumberOr(runtime->Find("barrier_wait_seconds"), 0),
         NumberOr(runtime->Find("send_stalls"), 0));
+    // Synchronization apart from compute and communication: the generation
+    // count, how waits ended, and the wake-up cost of starting each stage.
+    // Reports from before the hand-off fields read as zeros.
+    std::printf(
+        "barrier: %.0f generations, %.0f waits released spinning, %.0f "
+        "parked, stage hand-off %.6fs\n",
+        NumberOr(runtime->Find("barrier_generations"), 0),
+        NumberOr(runtime->Find("barrier_waits_spun"), 0),
+        NumberOr(runtime->Find("barrier_waits_parked"), 0),
+        NumberOr(runtime->Find("handoff_seconds"), 0));
     // The sort-free regroup counters: scatter throughput is the bench-gated
     // quantity, and a nonzero skipped count means frontier gating was live
     // (the app opted in via kSkipSilentVertices).
