@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
     point.Set("network_bytes", stats.TotalNetworkBytes());
     point.Set("tasks_executed", stats.tasks_executed);
     point.Set("barrier_generations", stats.barrier_generations);
-    // Combine-plan counters, folded coordinator-side from the per-process
-    // WorkerStatsMsg fields (NR is not frontier-skippable, so the skipped
+    // Combine-plan counters, summed by the executor from each process's
+    // WorkerStatsMsg counters (NR is not frontier-skippable, so the skipped
     // count doubles as a pin that the gate stays inert for it).
     point.Set("combine_messages_scattered", stats.combine_messages_scattered);
     point.Set("combine_scatter_seconds", stats.combine_scatter_seconds);

@@ -37,6 +37,10 @@ Status ReadVector(PayloadReader& reader, std::vector<T>* values) {
   return Status::OK();
 }
 
+/// Encoded size of one RuntimeFaultPlan in a placement payload: machine
+/// (u32), iteration (i32), stage (u8), after_tasks (u32).
+constexpr size_t kEncodedFaultPlanBytes = 13;
+
 }  // namespace
 
 std::vector<uint8_t> EncodeHello(const HelloMsg& msg) {
@@ -99,6 +103,10 @@ Result<PlacementMsg> DecodePlacement(const std::vector<uint8_t>& payload) {
   SURFER_RETURN_IF_ERROR(ReadVector(reader, &msg.replicas));
   uint32_t fault_count = 0;
   SURFER_RETURN_IF_ERROR(reader.Read(&fault_count));
+  if (static_cast<size_t>(fault_count) * kEncodedFaultPlanBytes >
+      reader.remaining()) {
+    return Status::Corruption("placement fault count exceeds payload");
+  }
   msg.faults.resize(fault_count);
   for (runtime::RuntimeFaultPlan& plan : msg.faults) {
     uint32_t machine = 0;
@@ -108,6 +116,10 @@ Result<PlacementMsg> DecodePlacement(const std::vector<uint8_t>& payload) {
     SURFER_RETURN_IF_ERROR(reader.Read(&iteration));
     SURFER_RETURN_IF_ERROR(reader.Read(&stage));
     SURFER_RETURN_IF_ERROR(reader.Read(&plan.after_tasks));
+    if (stage > static_cast<uint8_t>(runtime::RuntimeStage::kCombine)) {
+      return Status::Corruption("placement fault plan has unknown stage " +
+                                std::to_string(stage));
+    }
     plan.machine = machine;
     plan.iteration = iteration;
     plan.stage = static_cast<runtime::RuntimeStage>(stage);
@@ -147,6 +159,28 @@ Result<RoundMsg> DecodeRound(const std::vector<uint8_t>& payload) {
   SURFER_RETURN_IF_ERROR(ReadVector(reader, &msg.route));
   SURFER_RETURN_IF_ERROR(ReadVector(reader, &msg.reexec));
   return msg;
+}
+
+Status ValidateRound(const RoundMsg& msg, uint32_t num_partitions,
+                     uint32_t num_machines) {
+  if (msg.kind > RoundKind::kResend) {
+    return Status::Corruption("round kind out of range");
+  }
+  if (msg.alive.size() != num_machines || msg.exec.size() != num_partitions ||
+      msg.route.size() != num_partitions ||
+      msg.reexec.size() != num_partitions) {
+    return Status::Corruption("round vectors do not match the run's shape");
+  }
+  for (const std::vector<MachineId>* table :
+       {&msg.exec, &msg.route, &msg.reexec}) {
+    for (const MachineId m : *table) {
+      if (m != kInvalidMachine && m >= num_machines) {
+        return Status::Corruption("round names unknown machine " +
+                                  std::to_string(m));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 std::vector<uint8_t> EncodeTaskDone(const TaskDoneMsg& msg) {
@@ -286,27 +320,8 @@ Result<StateUpdateMsg> DecodeStateUpdate(const std::vector<uint8_t>& payload) {
 
 std::vector<uint8_t> EncodeWorkerStats(const WorkerStatsMsg& msg) {
   std::vector<uint8_t> out;
-  AppendPod(out, msg.tasks_executed);
-  AppendPod(out, msg.tasks_reexecuted);
-  AppendPod(out, msg.messages_sent);
-  AppendPod(out, msg.buffers_sent);
-  AppendPod(out, msg.wire_batches_sent);
-  AppendPod(out, msg.wire_segments_sent);
-  AppendPod(out, msg.wire_payload_bytes);
-  AppendPod(out, msg.wire_messages_combined);
-  AppendPod(out, msg.wire_flush_size);
-  AppendPod(out, msg.wire_flush_deadline);
-  AppendPod(out, msg.wire_flush_stage_end);
-  AppendPod(out, msg.pool_buffers_acquired);
-  AppendPod(out, msg.pool_buffers_reused);
-  AppendPod(out, msg.refetch_bytes);
-  AppendPod(out, msg.tcp_bytes_sent);
-  AppendPod(out, msg.tcp_frames_sent);
-  AppendPod(out, msg.resend_bytes);
-  AppendPod(out, msg.replication_bytes);
-  AppendPod(out, msg.combine_messages_scattered);
-  AppendPod(out, msg.frontier_vertices_skipped);
-  AppendPod(out, msg.combine_scatter_micros);
+  runtime::RuntimeCounters::ForEachCounter(
+      [&](const char*, auto member) { AppendPod(out, msg.counters.*member); });
   AppendPod(out, msg.peak_rss_bytes);
   AppendPod(out, msg.heartbeats_sent);
   AppendPod(out, msg.clock_synced);
@@ -320,27 +335,13 @@ std::vector<uint8_t> EncodeWorkerStats(const WorkerStatsMsg& msg) {
 Result<WorkerStatsMsg> DecodeWorkerStats(const std::vector<uint8_t>& payload) {
   PayloadReader reader(payload);
   WorkerStatsMsg msg;
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.tasks_executed));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.tasks_reexecuted));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.messages_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.buffers_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_batches_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_segments_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_payload_bytes));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_messages_combined));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_flush_size));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_flush_deadline));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.wire_flush_stage_end));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.pool_buffers_acquired));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.pool_buffers_reused));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.refetch_bytes));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.tcp_bytes_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.tcp_frames_sent));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.resend_bytes));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.replication_bytes));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.combine_messages_scattered));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.frontier_vertices_skipped));
-  SURFER_RETURN_IF_ERROR(reader.Read(&msg.combine_scatter_micros));
+  Status status;
+  runtime::RuntimeCounters::ForEachCounter([&](const char*, auto member) {
+    if (status.ok()) {
+      status = reader.Read(&(msg.counters.*member));
+    }
+  });
+  SURFER_RETURN_IF_ERROR(status);
   SURFER_RETURN_IF_ERROR(reader.Read(&msg.peak_rss_bytes));
   SURFER_RETURN_IF_ERROR(reader.Read(&msg.heartbeats_sent));
   SURFER_RETURN_IF_ERROR(reader.Read(&msg.clock_synced));

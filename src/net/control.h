@@ -9,6 +9,7 @@
 #include "graph/types.h"
 #include "net/frame.h"
 #include "runtime/fault.h"
+#include "runtime/stats.h"
 
 namespace surfer {
 namespace net {
@@ -171,31 +172,12 @@ struct StateUpdateMsg {
   std::vector<uint8_t> virtuals;  ///< virtual_count * (u64 id + VirtualOutput)
 };
 
-/// worker -> coordinator at finalize: counters and the worker's additive
-/// share of the M x M link matrix.
+/// worker -> coordinator at finalize: the worker's additive counters (the
+/// RuntimeCounters list, summed across processes by the executor) plus what
+/// is genuinely per process.
 struct WorkerStatsMsg {
-  uint64_t tasks_executed = 0;
-  uint64_t tasks_reexecuted = 0;
-  uint64_t messages_sent = 0;
-  uint64_t buffers_sent = 0;
-  uint64_t wire_batches_sent = 0;
-  uint64_t wire_segments_sent = 0;
-  uint64_t wire_payload_bytes = 0;
-  uint64_t wire_messages_combined = 0;
-  uint64_t wire_flush_size = 0;
-  uint64_t wire_flush_deadline = 0;
-  uint64_t wire_flush_stage_end = 0;
-  uint64_t pool_buffers_acquired = 0;
-  uint64_t pool_buffers_reused = 0;
-  uint64_t refetch_bytes = 0;
-  uint64_t tcp_bytes_sent = 0;
-  uint64_t tcp_frames_sent = 0;
-  uint64_t resend_bytes = 0;
-  uint64_t replication_bytes = 0;
-  uint64_t combine_messages_scattered = 0;
-  uint64_t frontier_vertices_skipped = 0;
-  uint64_t combine_scatter_micros = 0;  ///< scatter seconds * 1e6, truncated
-  uint64_t peak_rss_bytes = 0;
+  runtime::RuntimeCounters counters;
+  uint64_t peak_rss_bytes = 0;  ///< combined across processes by max
   uint64_t heartbeats_sent = 0;
   uint8_t clock_synced = 0;  ///< handshake ping exchange ran on every link
   std::vector<uint64_t> link_bytes;  ///< row-major M x M, this worker's sends
@@ -238,6 +220,12 @@ Result<PlacementMsg> DecodePlacement(const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodeRound(const RoundMsg& msg);
 Result<RoundMsg> DecodeRound(const std::vector<uint8_t>& payload);
+/// Checks a decoded round against the run's shape before a worker indexes
+/// it: a known kind, exec/route/reexec with one entry per partition, alive
+/// with one per machine, and every machine id either kInvalidMachine or a
+/// real machine. Corruption otherwise.
+Status ValidateRound(const RoundMsg& msg, uint32_t num_partitions,
+                     uint32_t num_machines);
 
 std::vector<uint8_t> EncodeTaskDone(const TaskDoneMsg& msg);
 Result<TaskDoneMsg> DecodeTaskDone(const std::vector<uint8_t>& payload);

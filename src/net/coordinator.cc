@@ -30,35 +30,6 @@ constexpr size_t kRoundHistory = 16;
 /// Completed rounds needed before the detector trusts its median at all.
 constexpr size_t kMinRoundHistory = 3;
 
-void AddStats(WorkerStatsMsg& into, const WorkerStatsMsg& from) {
-  into.tasks_executed += from.tasks_executed;
-  into.tasks_reexecuted += from.tasks_reexecuted;
-  into.messages_sent += from.messages_sent;
-  into.buffers_sent += from.buffers_sent;
-  into.wire_batches_sent += from.wire_batches_sent;
-  into.wire_segments_sent += from.wire_segments_sent;
-  into.wire_payload_bytes += from.wire_payload_bytes;
-  into.wire_messages_combined += from.wire_messages_combined;
-  into.wire_flush_size += from.wire_flush_size;
-  into.wire_flush_deadline += from.wire_flush_deadline;
-  into.wire_flush_stage_end += from.wire_flush_stage_end;
-  into.pool_buffers_acquired += from.pool_buffers_acquired;
-  into.pool_buffers_reused += from.pool_buffers_reused;
-  into.refetch_bytes += from.refetch_bytes;
-  into.tcp_bytes_sent += from.tcp_bytes_sent;
-  into.tcp_frames_sent += from.tcp_frames_sent;
-  into.resend_bytes += from.resend_bytes;
-  into.replication_bytes += from.replication_bytes;
-  into.combine_messages_scattered += from.combine_messages_scattered;
-  into.frontier_vertices_skipped += from.frontier_vertices_skipped;
-  into.combine_scatter_micros += from.combine_scatter_micros;
-  into.heartbeats_sent += from.heartbeats_sent;
-  for (size_t i = 0;
-       i < from.link_bytes.size() && i < into.link_bytes.size(); ++i) {
-    into.link_bytes[i] += from.link_bytes[i];
-  }
-}
-
 }  // namespace
 
 DistributedCoordinator::DistributedCoordinator(CoordinatorParams params,
@@ -79,8 +50,6 @@ Result<CoordinatorOutcome> DistributedCoordinator::Run() {
   stragglers_flagged_ = 0;
 
   CoordinatorOutcome out;
-  out.totals.link_bytes.assign(
-      static_cast<size_t>(params_.num_machines) * params_.num_machines, 0);
   out.worker_reports.assign(params_.num_processes, "");
   out.worker_stats.assign(params_.num_processes, WorkerStatsMsg{});
 
@@ -629,12 +598,8 @@ Status DistributedCoordinator::Finalize(CoordinatorOutcome* out) {
       }
       switch (frame->type) {
         case FrameType::kWorkerStats: {
-          SURFER_ASSIGN_OR_RETURN(WorkerStatsMsg stats,
+          SURFER_ASSIGN_OR_RETURN(out->worker_stats[i],
                                   DecodeWorkerStats(frame->payload));
-          AddStats(out->totals, stats);
-          out->peak_worker_rss_bytes =
-              std::max(out->peak_worker_rss_bytes, stats.peak_rss_bytes);
-          out->worker_stats[i] = std::move(stats);
           break;
         }
         case FrameType::kFinalState: {

@@ -48,8 +48,6 @@ struct CoordinatorParams {
 
 /// What a completed coordinator run hands back to the executor.
 struct CoordinatorOutcome {
-  /// Workers' counters summed; link_bytes is the full M x M matrix.
-  WorkerStatsMsg totals;
   uint32_t machine_failures = 0;
   uint64_t rounds = 0;           ///< BSP rounds driven (>= 2 per iteration)
   uint64_t recovery_rounds = 0;  ///< re-assignment + resend rounds
@@ -61,11 +59,10 @@ struct CoordinatorOutcome {
   std::vector<FinalVirtualMsg> virtuals;
   /// Per-process run-report JSON (empty string for processes that died).
   std::vector<std::string> worker_reports;
-  /// Peak worker-process RSS reported at finalize (max across processes).
-  uint64_t peak_worker_rss_bytes = 0;
-  /// Per-process finalize stats, unsummed (default-constructed for dead
-  /// processes): the executor needs each worker's clock-offset table and
-  /// round link stats individually for the cluster critical path.
+  /// Per-process finalize stats as received (default-constructed for dead
+  /// processes). The executor sums their counters and link matrices, and
+  /// needs each worker's clock-offset table and round link stats
+  /// individually for the cluster critical path.
   std::vector<WorkerStatsMsg> worker_stats;
   /// Coordinator-clock timing of every round driven, in order.
   std::vector<runtime::ClusterRoundRecord> round_records;

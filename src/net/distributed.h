@@ -160,7 +160,8 @@ class DistributedWorker {
       switch (frame->type) {
         case FrameType::kRound: {
           Result<RoundMsg> round = DecodeRound(frame->payload);
-          if (!round.ok()) {
+          if (!round.ok() ||
+              !ValidateRound(*round, num_partitions_, num_machines_).ok()) {
             Die();
           }
           ExecuteRound(*round);
@@ -251,7 +252,12 @@ class DistributedWorker {
     kernel_ = std::make_unique<runtime::PartitionKernel<App>>(
         app_, *graph_, config_.frontier_gating, /*num_threads=*/1);
     stage_tasks_done_.assign(num_machines_, 0);
-    link_bytes_.assign(static_cast<size_t>(num_machines_) * num_machines_, 0);
+    stats_.num_workers = static_cast<uint32_t>(hosted_.size());
+    stats_.num_machines = num_machines_;
+    stats_.num_processes = num_procs_;
+    stats_.iterations = config_.iterations;
+    stats_.link_bytes.assign(static_cast<size_t>(num_machines_) * num_machines_,
+                             0);
 
     telemetry_ = std::make_unique<obs::TelemetryRecorder>(options_.telemetry);
     if (options_.telemetry.enabled) {
@@ -297,7 +303,7 @@ class DistributedWorker {
     current_iteration_ = round.iteration;
     current_round_seq_ = round.seq;
     // Receiver threads record link stats by round seq only; this map lets
-    // BuildStatsMsg patch in the (iteration, kind) the seq belonged to.
+    // Finalize patch in the (iteration, kind) the seq belonged to.
     round_info_[round.seq] = {round.iteration,
                               static_cast<uint32_t>(round.kind)};
     if (proc_ == stall_proc_ && round.iteration == stall_iteration_ &&
@@ -354,9 +360,9 @@ class DistributedWorker {
           RunCombineTask(p, m, round);
         }
         ++stage_tasks_done_[m];
-        ++tasks_executed_;
+        ++stats_.tasks_executed;
         if (round.recovery != 0) {
-          ++tasks_reexecuted_;
+          ++stats_.tasks_reexecuted;
         }
         SendTaskDone(p, m, round);
         if (round.kind == RoundKind::kTransfer) {
@@ -391,8 +397,8 @@ class DistributedWorker {
           continue;
         }
         ReexecTransfer(q, m, round);
-        ++tasks_executed_;
-        ++tasks_reexecuted_;
+        ++stats_.tasks_executed;
+        ++stats_.tasks_reexecuted;
         SendTaskDone(q, m, round);
         PumpMailbox();
       }
@@ -482,12 +488,12 @@ class DistributedWorker {
   /// replay in fault-tolerant runs; resend traffic is booked separately.
   double ShipBatch(runtime::WireBatch&& batch, bool resend, bool retain) {
     if (!resend) {
-      link_bytes_[static_cast<size_t>(batch.src_machine) * num_machines_ +
+      stats_.link_bytes[static_cast<size_t>(batch.src_machine) * num_machines_ +
                   batch.dst_machine] += batch.priced_bytes;
-      messages_sent_ += batch.num_messages;
-      ++buffers_sent_;
+      stats_.messages_sent += batch.num_messages;
+      ++stats_.buffers_sent;
     } else {
-      resend_bytes_ += batch.payload.size();
+      stats_.resend_bytes += batch.payload.size();
     }
     if (retain && fault_tolerant_) {
       retained_.push_back(batch);  // deep copy; replayed if a holder dies
@@ -560,10 +566,10 @@ class DistributedWorker {
               next_states_.begin() + meta.begin);
     const auto tally =
         kernel_->Combine(0, p, m, replicas_[p][0], next_states_);
-    refetch_bytes_ += tally.refetch_bytes;
-    combine_scatter_seconds_ += tally.scatter_s;
-    combine_messages_scattered_ += tally.scattered;
-    frontier_vertices_skipped_ += tally.skipped;
+    stats_.refetch_bytes += tally.refetch_bytes;
+    stats_.combine_scatter_seconds += tally.scatter_s;
+    stats_.combine_messages_scattered += tally.scattered;
+    stats_.frontier_vertices_skipped += tally.skipped;
     dirty_[p] = 1;
     state_version_[p] = round.iteration;
     const auto& virtual_results = kernel_->virtual_results(p);
@@ -604,7 +610,7 @@ class DistributedWorker {
     }
     for (uint32_t q : targets) {
       (void)transport_.SendPeer(q, FrameType::kStateUpdate, payload);
-      replication_bytes_ += payload.size();
+      stats_.replication_bytes += payload.size();
     }
   }
 
@@ -673,9 +679,9 @@ class DistributedWorker {
       while (reader.NextInto(segment)) {
         const size_t end = reader.offset();
         const runtime::WireSegmentHeader& header = segment.header;
-        const MachineId target = header.dst_partition < round.route.size()
-                                     ? round.route[header.dst_partition]
-                                     : kInvalidMachine;
+        // In range: the reader bounds dst_partition by the partition count,
+        // and ValidateRound sized route to it.
+        const MachineId target = round.route[header.dst_partition];
         if (target != kInvalidMachine) {
           const auto key = std::make_pair(batch.src_machine, target);
           auto it = open.find(key);
@@ -765,7 +771,8 @@ class DistributedWorker {
   /// recovers hosted partitions on their replicas.
   [[noreturn]] void GracefulExit() {
     FlushAndAwaitAcks();
-    WriteArtifacts();
+    telemetry_->Stop();
+    WriteArtifacts(LocalStats());
     transport_.CloseAll();
     ::_exit(0);
   }
@@ -778,9 +785,30 @@ class DistributedWorker {
     // kFinalDone; stop heartbeating for good before the stats go out.
     heartbeat_period_ms_ = 0;
     telemetry_->Stop();
-    const WorkerStatsMsg stats = BuildStatsMsg();
+    // One RuntimeStats feeds both the counters sent to the coordinator and
+    // this worker's own report.
+    const runtime::RuntimeStats stats = LocalStats();
+    WorkerStatsMsg stats_msg;
+    stats_msg.counters = stats;
+    stats_msg.peak_rss_bytes = stats.peak_rss_bytes;
+    stats_msg.link_bytes = stats.link_bytes;
+    stats_msg.heartbeats_sent = heartbeats_sent_;
+    stats_msg.clock_synced = transport_.clock_synced() ? 1 : 0;
+    stats_msg.clock_offset_us = transport_.ClockOffsets();
+    stats_msg.clock_uncertainty_us = transport_.ClockUncertainties();
+    stats_msg.round_link_stats = transport_.DrainLinkStats();
+    for (RoundLinkStat& link : stats_msg.round_link_stats) {
+      // The receiver thread only knows the round seq; resolve the round's
+      // (iteration, kind) from the rounds this worker actually executed.
+      const auto it = round_info_.find(link.seq);
+      if (it != round_info_.end()) {
+        link.iteration = it->second.first;
+        link.kind = it->second.second;
+      }
+    }
     if (!transport_
-             .SendControl(FrameType::kWorkerStats, EncodeWorkerStats(stats))
+             .SendControl(FrameType::kWorkerStats,
+                          EncodeWorkerStats(stats_msg))
              .ok()) {
       Die();
     }
@@ -820,82 +848,29 @@ class DistributedWorker {
         Die();
       }
     }
-    const std::string report = BuildReport().Write(2);
+    const std::string report = BuildReport(stats).Write(2);
     std::vector<uint8_t> report_bytes(report.begin(), report.end());
     if (!transport_.SendControl(FrameType::kWorkerReport, report_bytes).ok()) {
       Die();
     }
-    WriteArtifacts();
+    WriteArtifacts(stats);
     if (!transport_.SendControl(FrameType::kFinalDone).ok()) {
       Die();
     }
   }
 
-  WorkerStatsMsg BuildStatsMsg() {
-    WorkerStatsMsg stats;
-    stats.tasks_executed = tasks_executed_;
-    stats.tasks_reexecuted = tasks_reexecuted_;
-    stats.messages_sent = messages_sent_;
-    stats.buffers_sent = buffers_sent_;
-    for (const auto& [m, stager] : stagers_) {
-      runtime::AddWireStagerStats(stager.stats(), stats);
-    }
-    const runtime::WireBufferPool::Stats pool = pool_->stats();
-    stats.pool_buffers_acquired = pool.acquires;
-    stats.pool_buffers_reused = pool.reuses;
-    stats.refetch_bytes = refetch_bytes_;
-    stats.tcp_bytes_sent = transport_.tcp_bytes_sent();
-    stats.tcp_frames_sent = transport_.tcp_frames_sent();
-    stats.resend_bytes = resend_bytes_;
-    stats.replication_bytes = replication_bytes_;
-    stats.combine_messages_scattered = combine_messages_scattered_;
-    stats.frontier_vertices_skipped = frontier_vertices_skipped_;
-    stats.combine_scatter_micros =
-        static_cast<uint64_t>(combine_scatter_seconds_ * 1e6);
-    stats.peak_rss_bytes = obs::ReadMemoryUsage().peak_rss_bytes;
-    stats.link_bytes = link_bytes_;
-    stats.heartbeats_sent = heartbeats_sent_;
-    stats.clock_synced = transport_.clock_synced() ? 1 : 0;
-    stats.clock_offset_us = transport_.ClockOffsets();
-    stats.clock_uncertainty_us = transport_.ClockUncertainties();
-    stats.round_link_stats = transport_.DrainLinkStats();
-    for (RoundLinkStat& link : stats.round_link_stats) {
-      // The receiver thread only knows the round seq; resolve the round's
-      // (iteration, kind) from the rounds this worker actually executed.
-      const auto it = round_info_.find(link.seq);
-      if (it != round_info_.end()) {
-        link.iteration = it->second.first;
-        link.kind = it->second.second;
-      }
-    }
-    return stats;
-  }
-
+  /// This worker's RuntimeStats: the tallies kept in stats_ plus the
+  /// stager, pool, transport, telemetry and memory readings taken now.
   runtime::RuntimeStats LocalStats() {
-    runtime::RuntimeStats stats;
-    stats.num_workers = static_cast<uint32_t>(hosted_.size());
-    stats.num_machines = num_machines_;
-    stats.num_processes = num_procs_;
-    stats.iterations = config_.iterations;
-    stats.tasks_executed = tasks_executed_;
-    stats.tasks_reexecuted = tasks_reexecuted_;
-    stats.messages_sent = messages_sent_;
-    stats.buffers_sent = buffers_sent_;
+    runtime::RuntimeStats stats = stats_;
     for (const auto& [m, stager] : stagers_) {
       runtime::AddWireStagerStats(stager.stats(), stats);
     }
     const runtime::WireBufferPool::Stats pool = pool_->stats();
     stats.pool_buffers_acquired = pool.acquires;
     stats.pool_buffers_reused = pool.reuses;
-    stats.refetch_bytes = refetch_bytes_;
     stats.tcp_bytes_sent = transport_.tcp_bytes_sent();
     stats.tcp_frames_sent = transport_.tcp_frames_sent();
-    stats.resend_bytes = resend_bytes_;
-    stats.replication_bytes = replication_bytes_;
-    stats.combine_messages_scattered = combine_messages_scattered_;
-    stats.frontier_vertices_skipped = frontier_vertices_skipped_;
-    stats.combine_scatter_seconds = combine_scatter_seconds_;
-    stats.link_bytes = link_bytes_;
     stats.telemetry_samples = telemetry_->samples_taken();
     stats.telemetry_samples_dropped = telemetry_->total_dropped();
     const obs::MemoryUsage memory = obs::ReadMemoryUsage();
@@ -904,7 +879,7 @@ class DistributedWorker {
     return stats;
   }
 
-  obs::JsonValue BuildReport() {
+  obs::JsonValue BuildReport(const runtime::RuntimeStats& stats) {
     obs::RunReportOptions report_options;
     report_options.name = "surfer_dist_worker_" + std::to_string(proc_);
     std::string machines;
@@ -915,8 +890,7 @@ class DistributedWorker {
                            std::to_string(proc_) + "/" +
                            std::to_string(num_procs_) + " hosting machines [" +
                            machines + "]";
-    const obs::JsonValue runtime_block =
-        runtime::RuntimeStatsToJson(LocalStats());
+    const obs::JsonValue runtime_block = runtime::RuntimeStatsToJson(stats);
     obs::JsonValue telemetry_block;
     const bool have_telemetry = telemetry_->enabled();
     if (have_telemetry) {
@@ -927,14 +901,13 @@ class DistributedWorker {
                                have_telemetry ? &telemetry_block : nullptr);
   }
 
-  void WriteArtifacts() {
+  void WriteArtifacts(const runtime::RuntimeStats& stats) {
     if (options_.artifact_dir.empty()) {
       return;
     }
-    telemetry_->Stop();
     const std::string stem =
         options_.artifact_dir + "/dist_worker_" + std::to_string(proc_);
-    (void)obs::WriteRunReport(stem + ".report.json", BuildReport());
+    (void)obs::WriteRunReport(stem + ".report.json", BuildReport(stats));
     obs::JsonValue trace = tracer_->ToChromeJson();
     if (trace.is_object()) {
       // Wall-clock anchor of this tracer's t=0, so surfer_trace merge can
@@ -1018,17 +991,9 @@ class DistributedWorker {
   uint32_t stall_ms_ = 0;
   bool stalled_ = false;
 
-  uint64_t tasks_executed_ = 0;
-  uint64_t tasks_reexecuted_ = 0;
-  uint64_t messages_sent_ = 0;
-  uint64_t buffers_sent_ = 0;
-  uint64_t refetch_bytes_ = 0;
-  uint64_t resend_bytes_ = 0;
-  uint64_t replication_bytes_ = 0;
-  uint64_t combine_messages_scattered_ = 0;
-  uint64_t frontier_vertices_skipped_ = 0;
-  double combine_scatter_seconds_ = 0.0;
-  std::vector<uint64_t> link_bytes_;
+  /// Counters and link matrix accumulated as tasks run; LocalStats adds
+  /// the readings owned by other components.
+  runtime::RuntimeStats stats_;
 
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::TelemetryRecorder> telemetry_;
@@ -1207,33 +1172,16 @@ class DistributedExecutor {
     stats_.num_machines = num_machines;
     stats_.num_processes = num_processes;
     stats_.iterations = config_.iterations;
-    const WorkerStatsMsg& totals = outcome.totals;
-    stats_.tasks_executed = totals.tasks_executed;
-    stats_.tasks_reexecuted = totals.tasks_reexecuted;
+    stats_.link_bytes.assign(static_cast<size_t>(num_machines) * num_machines,
+                             0);
+    for (const WorkerStatsMsg& worker : outcome.worker_stats) {
+      stats_ += worker.counters;
+      stats_.AddLinkBytes(worker.link_bytes);
+      stats_.peak_rss_bytes =
+          std::max(stats_.peak_rss_bytes, worker.peak_rss_bytes);
+    }
     stats_.machine_failures = outcome.machine_failures;
-    stats_.messages_sent = totals.messages_sent;
-    stats_.buffers_sent = totals.buffers_sent;
-    stats_.wire_batches_sent = totals.wire_batches_sent;
-    stats_.wire_segments_sent = totals.wire_segments_sent;
-    stats_.wire_payload_bytes = totals.wire_payload_bytes;
-    stats_.wire_messages_combined = totals.wire_messages_combined;
-    stats_.wire_flush_size = totals.wire_flush_size;
-    stats_.wire_flush_deadline = totals.wire_flush_deadline;
-    stats_.wire_flush_stage_end = totals.wire_flush_stage_end;
-    stats_.pool_buffers_acquired = totals.pool_buffers_acquired;
-    stats_.pool_buffers_reused = totals.pool_buffers_reused;
-    stats_.refetch_bytes = totals.refetch_bytes;
-    stats_.tcp_bytes_sent = totals.tcp_bytes_sent;
-    stats_.tcp_frames_sent = totals.tcp_frames_sent;
-    stats_.resend_bytes = totals.resend_bytes;
-    stats_.replication_bytes = totals.replication_bytes;
-    stats_.combine_messages_scattered = totals.combine_messages_scattered;
-    stats_.frontier_vertices_skipped = totals.frontier_vertices_skipped;
-    stats_.combine_scatter_seconds =
-        static_cast<double>(totals.combine_scatter_micros) / 1e6;
     stats_.barrier_generations = outcome.rounds;
-    stats_.link_bytes = totals.link_bytes;
-    stats_.peak_rss_bytes = outcome.peak_worker_rss_bytes;
     stats_.rss_bytes = obs::ReadMemoryUsage().rss_bytes;
 
     alive_ = outcome.alive;

@@ -331,17 +331,7 @@ class RuntimeExecutor {
   };
 
   /// Per-thread tallies, merged into RuntimeStats after the join.
-  struct WorkerLocal {
-    uint64_t tasks_executed = 0;
-    uint64_t tasks_reexecuted = 0;
-    uint64_t messages_sent = 0;
-    uint64_t buffers_sent = 0;
-    uint64_t refetch_bytes = 0;
-    uint64_t combine_messages_scattered = 0;
-    uint64_t frontier_vertices_skipped = 0;
-    double combine_scatter_seconds = 0.0;
-    uint32_t machine_failures = 0;
-    double barrier_wait_seconds = 0.0;
+  struct WorkerLocal : RuntimeCounters {
     Histogram barrier_wait;
     std::vector<uint64_t> link_bytes;
   };
@@ -825,20 +815,9 @@ class RuntimeExecutor {
     stats_.link_bytes.assign(
         static_cast<size_t>(num_machines_) * num_machines_, 0);
     for (const WorkerLocal& local : locals_) {
-      stats_.tasks_executed += local.tasks_executed;
-      stats_.tasks_reexecuted += local.tasks_reexecuted;
-      stats_.machine_failures += local.machine_failures;
-      stats_.messages_sent += local.messages_sent;
-      stats_.buffers_sent += local.buffers_sent;
-      stats_.refetch_bytes += local.refetch_bytes;
-      stats_.combine_messages_scattered += local.combine_messages_scattered;
-      stats_.combine_scatter_seconds += local.combine_scatter_seconds;
-      stats_.frontier_vertices_skipped += local.frontier_vertices_skipped;
-      stats_.barrier_wait_seconds += local.barrier_wait_seconds;
+      stats_ += local;
       stats_.barrier_wait.Merge(local.barrier_wait);
-      for (size_t i = 0; i < local.link_bytes.size(); ++i) {
-        stats_.link_bytes[i] += local.link_bytes[i];
-      }
+      stats_.AddLinkBytes(local.link_bytes);
     }
     // Mean/max over *workers only* (locals_[num_workers_] is the main
     // thread, whose waits overlap every worker's): the per-thread view that

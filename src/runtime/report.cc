@@ -28,22 +28,9 @@ obs::JsonValue RuntimeStatsToJson(const RuntimeStats& stats) {
     block.Set("num_processes", static_cast<uint64_t>(stats.num_processes));
   }
   block.Set("iterations", stats.iterations);
-  block.Set("tasks_executed", stats.tasks_executed);
-  block.Set("tasks_reexecuted", stats.tasks_reexecuted);
-  block.Set("machine_failures", static_cast<uint64_t>(stats.machine_failures));
-  block.Set("messages_sent", stats.messages_sent);
-  block.Set("buffers_sent", stats.buffers_sent);
-  block.Set("send_stalls", stats.send_stalls);
-  block.Set("items_stalled", stats.items_stalled);
-  block.Set("wire_batches_sent", stats.wire_batches_sent);
-  block.Set("wire_segments_sent", stats.wire_segments_sent);
-  block.Set("wire_payload_bytes", stats.wire_payload_bytes);
-  block.Set("wire_messages_combined", stats.wire_messages_combined);
-  block.Set("wire_flush_size", stats.wire_flush_size);
-  block.Set("wire_flush_deadline", stats.wire_flush_deadline);
-  block.Set("wire_flush_stage_end", stats.wire_flush_stage_end);
-  block.Set("pool_buffers_acquired", stats.pool_buffers_acquired);
-  block.Set("pool_buffers_reused", stats.pool_buffers_reused);
+  RuntimeCounters::ForEachCounter([&](const char* name, auto member) {
+    block.Set(name, stats.*member);
+  });
   // Fraction of staged messages merged away by wire-level combination
   // before being priced: combined / (combined + sent-on-the-wire).
   const uint64_t staged =
@@ -57,8 +44,6 @@ obs::JsonValue RuntimeStatsToJson(const RuntimeStats& stats) {
                 ? static_cast<double>(stats.wire_payload_bytes) /
                       stats.wall_seconds
                 : 0.0);
-  block.Set("combine_messages_scattered", stats.combine_messages_scattered);
-  block.Set("combine_scatter_seconds", stats.combine_scatter_seconds);
   // The bench-gated regroup quantity: counting-scatter throughput in
   // messages per second (0 when no combine stage ran).
   block.Set("combine_scatter_msgs_per_sec",
@@ -66,23 +51,12 @@ obs::JsonValue RuntimeStatsToJson(const RuntimeStats& stats) {
                 ? static_cast<double>(stats.combine_messages_scattered) /
                       stats.combine_scatter_seconds
                 : 0.0);
-  block.Set("frontier_vertices_skipped", stats.frontier_vertices_skipped);
-  block.Set("barrier_wait_seconds", stats.barrier_wait_seconds);
   block.Set("barrier_wait_mean_s", stats.barrier_wait_mean_s);
   block.Set("barrier_wait_max_s", stats.barrier_wait_max_s);
   block.Set("barrier_generations", stats.barrier_generations);
-  block.Set("barrier_waits_spun", stats.barrier_waits_spun);
-  block.Set("barrier_waits_parked", stats.barrier_waits_parked);
   block.Set("handoff_seconds", stats.handoff_seconds);
-  block.Set("refetch_bytes", stats.refetch_bytes);
-  block.Set("tcp_bytes_sent", stats.tcp_bytes_sent);
-  block.Set("tcp_frames_sent", stats.tcp_frames_sent);
-  block.Set("resend_bytes", stats.resend_bytes);
-  block.Set("replication_bytes", stats.replication_bytes);
   block.Set("wall_seconds", stats.wall_seconds);
   block.Set("network_bytes", stats.TotalNetworkBytes());
-  block.Set("telemetry_samples", stats.telemetry_samples);
-  block.Set("telemetry_samples_dropped", stats.telemetry_samples_dropped);
   // Suppressed when the memory probe was unavailable (both counters zero):
   // a zero here would read as a measurement, not a failure to measure.
   if (stats.rss_bytes > 0 || stats.peak_rss_bytes > 0) {

@@ -1,6 +1,7 @@
 #ifndef SURFER_RUNTIME_STATS_H_
 #define SURFER_RUNTIME_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -12,18 +13,17 @@
 namespace surfer {
 namespace runtime {
 
-/// Wall-clock execution statistics for one RuntimeExecutor run. Collected
-/// after the worker threads join, so everything here is plain data.
-struct RuntimeStats {
-  uint32_t num_workers = 0;
-  uint32_t num_machines = 0;
-  /// Worker OS processes in a distributed run (0 for in-process engines).
-  uint32_t num_processes = 0;
-  int iterations = 0;
-
+/// The additive counters of a run: every RuntimeStats field that is summed
+/// across worker threads and worker processes. ForEachCounter below is the
+/// single list of them. It alone drives the sum (operator+=), the counter
+/// keys of the run report's runtime block (RuntimeStatsToJson) and the
+/// counter part of the distributed engine's stats message
+/// (net::EncodeWorkerStats), so a counter added here and listed there is
+/// summed, reported and shipped with no other edit.
+struct RuntimeCounters {
   uint64_t tasks_executed = 0;    ///< transfer + combine tasks run, incl. retries
   uint64_t tasks_reexecuted = 0;  ///< tasks re-run on a replica after a kill
-  uint32_t machine_failures = 0;
+  uint64_t machine_failures = 0;
 
   uint64_t messages_sent = 0;  ///< materialized messages through channels
   uint64_t buffers_sent = 0;   ///< channel items (wire batches put on a link)
@@ -53,30 +53,105 @@ struct RuntimeStats {
   uint64_t frontier_vertices_skipped = 0;
 
   double barrier_wait_seconds = 0.0;  ///< summed across workers + main
-  /// Per-worker distribution of the summed wait (workers only, main thread
-  /// excluded). barrier_wait_seconds adds N workers' overlapping idle time
-  /// and so routinely exceeds wall_seconds on wide runs; mean and max are
-  /// the per-worker quantities that compare against the wall clock.
-  double barrier_wait_mean_s = 0.0;
-  double barrier_wait_max_s = 0.0;
-  uint64_t barrier_generations = 0;
   /// Barrier waits released while still spinning vs after parking (workers
   /// and main; see BspBarrier::WaitCounts). Spun stays 0 when the host
   /// cannot give every worker its own hardware thread.
   uint64_t barrier_waits_spun = 0;
   uint64_t barrier_waits_parked = 0;
-  /// Stage hand-off latency summed over supersteps: per stage, the time from
-  /// the start barrier's flip to the last worker leaving it (see
-  /// SuperstepProfile::handoff_s). 0 for engines without a shared barrier.
-  double handoff_seconds = 0.0;
   uint64_t refetch_bytes = 0;  ///< replica re-reads triggered by recovery
-  double wall_seconds = 0.0;
 
   // Distributed engine (net/distributed.h) only; all zero elsewhere.
   uint64_t tcp_bytes_sent = 0;    ///< bytes on mesh sockets, headers included
   uint64_t tcp_frames_sent = 0;   ///< mesh frames (data, updates, EOS, acks)
   uint64_t resend_bytes = 0;      ///< recovery replay + re-executed transfer
   uint64_t replication_bytes = 0; ///< post-combine state updates to replicas
+
+  /// Flight-recorder tallies (0 when telemetry is off). Like trace drops,
+  /// sample drops only mean the recorded window is partial — the oldest
+  /// samples were overwritten, the run was untouched.
+  uint64_t telemetry_samples = 0;
+  uint64_t telemetry_samples_dropped = 0;
+
+  /// Calls fn(name, member pointer) once per counter, in report order. The
+  /// name is the counter's run-report key.
+  template <typename Fn>
+  static constexpr void ForEachCounter(Fn&& fn) {
+    fn("tasks_executed", &RuntimeCounters::tasks_executed);
+    fn("tasks_reexecuted", &RuntimeCounters::tasks_reexecuted);
+    fn("machine_failures", &RuntimeCounters::machine_failures);
+    fn("messages_sent", &RuntimeCounters::messages_sent);
+    fn("buffers_sent", &RuntimeCounters::buffers_sent);
+    fn("send_stalls", &RuntimeCounters::send_stalls);
+    fn("items_stalled", &RuntimeCounters::items_stalled);
+    fn("wire_batches_sent", &RuntimeCounters::wire_batches_sent);
+    fn("wire_segments_sent", &RuntimeCounters::wire_segments_sent);
+    fn("wire_payload_bytes", &RuntimeCounters::wire_payload_bytes);
+    fn("wire_messages_combined", &RuntimeCounters::wire_messages_combined);
+    fn("wire_flush_size", &RuntimeCounters::wire_flush_size);
+    fn("wire_flush_deadline", &RuntimeCounters::wire_flush_deadline);
+    fn("wire_flush_stage_end", &RuntimeCounters::wire_flush_stage_end);
+    fn("pool_buffers_acquired", &RuntimeCounters::pool_buffers_acquired);
+    fn("pool_buffers_reused", &RuntimeCounters::pool_buffers_reused);
+    fn("combine_messages_scattered",
+       &RuntimeCounters::combine_messages_scattered);
+    fn("combine_scatter_seconds", &RuntimeCounters::combine_scatter_seconds);
+    fn("frontier_vertices_skipped",
+       &RuntimeCounters::frontier_vertices_skipped);
+    fn("barrier_wait_seconds", &RuntimeCounters::barrier_wait_seconds);
+    fn("barrier_waits_spun", &RuntimeCounters::barrier_waits_spun);
+    fn("barrier_waits_parked", &RuntimeCounters::barrier_waits_parked);
+    fn("refetch_bytes", &RuntimeCounters::refetch_bytes);
+    fn("tcp_bytes_sent", &RuntimeCounters::tcp_bytes_sent);
+    fn("tcp_frames_sent", &RuntimeCounters::tcp_frames_sent);
+    fn("resend_bytes", &RuntimeCounters::resend_bytes);
+    fn("replication_bytes", &RuntimeCounters::replication_bytes);
+    fn("telemetry_samples", &RuntimeCounters::telemetry_samples);
+    fn("telemetry_samples_dropped",
+       &RuntimeCounters::telemetry_samples_dropped);
+  }
+
+  RuntimeCounters& operator+=(const RuntimeCounters& other) {
+    ForEachCounter(
+        [&](const char*, auto member) { this->*member += other.*member; });
+    return *this;
+  }
+};
+
+/// Number of listed counters.
+inline constexpr size_t kNumRuntimeCounters = [] {
+  size_t n = 0;
+  RuntimeCounters::ForEachCounter([&n](const char*, auto) { ++n; });
+  return n;
+}();
+
+// Every counter is 8 bytes wide (uint64_t or double), so a field declared
+// above but missing from ForEachCounter breaks this.
+static_assert(sizeof(RuntimeCounters) == kNumRuntimeCounters * 8,
+              "every RuntimeCounters field must be listed in ForEachCounter");
+
+/// Wall-clock execution statistics for one RuntimeExecutor run. Collected
+/// after the worker threads join, so everything here is plain data. The
+/// additive counters live in the RuntimeCounters base; the rest describes
+/// the run as a whole and is not summed.
+struct RuntimeStats : RuntimeCounters {
+  uint32_t num_workers = 0;
+  uint32_t num_machines = 0;
+  /// Worker OS processes in a distributed run (0 for in-process engines).
+  uint32_t num_processes = 0;
+  int iterations = 0;
+
+  /// Per-worker distribution of barrier_wait_seconds (workers only, main
+  /// thread excluded). barrier_wait_seconds adds N workers' overlapping
+  /// idle time and so routinely exceeds wall_seconds on wide runs; mean and
+  /// max are the per-worker quantities that compare against the wall clock.
+  double barrier_wait_mean_s = 0.0;
+  double barrier_wait_max_s = 0.0;
+  uint64_t barrier_generations = 0;
+  /// Stage hand-off latency summed over supersteps: per stage, the time from
+  /// the start barrier's flip to the last worker leaving it (see
+  /// SuperstepProfile::handoff_s). 0 for engines without a shared barrier.
+  double handoff_seconds = 0.0;
+  double wall_seconds = 0.0;
 
   /// Row-major M x M actual bytes moved per (src machine -> dst machine).
   /// Off-diagonal entries are network traffic and, absent faults, must
@@ -101,18 +176,21 @@ struct RuntimeStats {
   /// incomplete, never that the run itself was perturbed.
   uint64_t trace_events_dropped = 0;
 
-  /// Flight-recorder tallies (0 when RuntimeOptions::telemetry is off).
-  /// Like trace drops, sample drops only mean the recorded window is
-  /// partial — the oldest samples were overwritten, the run was untouched.
-  uint64_t telemetry_samples = 0;
-  uint64_t telemetry_samples_dropped = 0;
-
   /// Process memory at the end of the run (/proc/self/status; 0 where
   /// unavailable). Peak RSS is the regression-gated quantity: it is
   /// dominated by the run's buffers, pools, and inboxes, so a leak or an
   /// unpooled allocation path shows up here before it shows up in wall time.
+  /// Combined across processes by max, never summed.
   uint64_t rss_bytes = 0;
   uint64_t peak_rss_bytes = 0;
+
+  /// Adds a row-major M x M link matrix into link_bytes, element by element.
+  /// Entries past either matrix's end are ignored.
+  void AddLinkBytes(const std::vector<uint64_t>& other) {
+    for (size_t i = 0; i < other.size() && i < link_bytes.size(); ++i) {
+      link_bytes[i] += other[i];
+    }
+  }
 
   uint64_t TotalNetworkBytes() const {
     // Tolerate a default-constructed or truncated matrix: stats objects are

@@ -22,6 +22,7 @@
 #include "common/status.h"
 #include "graph/types.h"
 #include "propagation/app_traits.h"
+#include "runtime/stats.h"
 
 namespace surfer {
 namespace runtime {
@@ -286,11 +287,10 @@ struct WireStagerStats {
   Histogram batch_fill;             ///< payload/max_batch_bytes at each seal
 };
 
-/// Adds one stager's counters into an engine's wire_* totals: RuntimeStats,
-/// or the distributed WorkerStatsMsg, which has the same fields except the
-/// batch-fill histogram.
-template <typename Totals>
-void AddWireStagerStats(const WireStagerStats& ws, Totals& totals) {
+/// Adds one stager's counters and batch-fill histogram into an engine's
+/// RuntimeStats.
+inline void AddWireStagerStats(const WireStagerStats& ws,
+                               RuntimeStats& totals) {
   totals.wire_batches_sent += ws.batches_sealed;
   totals.wire_segments_sent += ws.segments_sealed;
   totals.wire_payload_bytes += ws.payload_bytes;
@@ -298,9 +298,7 @@ void AddWireStagerStats(const WireStagerStats& ws, Totals& totals) {
   totals.wire_flush_size += ws.flush_size;
   totals.wire_flush_deadline += ws.flush_deadline;
   totals.wire_flush_stage_end += ws.flush_stage_end;
-  if constexpr (requires { totals.batch_fill; }) {
-    totals.batch_fill.Merge(ws.batch_fill);
-  }
+  totals.batch_fill.Merge(ws.batch_fill);
 }
 
 /// Serializes one machine's outbound message streams into pooled WireBatch

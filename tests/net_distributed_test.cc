@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "obs/trace_merge.h"
 #include "propagation/config.h"
 #include "propagation/runner.h"
+#include "runtime/report.h"
 #include "tests/test_fixtures.h"
 
 namespace surfer {
@@ -467,6 +469,64 @@ TEST(NetDistributedTest, RecoveryStaysBitIdenticalWithHealthPlaneEnabled) {
                      "recovery with the health plane enabled");
   EXPECT_GE(result->runtime_stats->machine_failures, 1u);
   EXPECT_GT(result->runtime_stats->tasks_reexecuted, 0u);
+}
+
+// Both real engines report through the one RuntimeCounters list: the same
+// O4 NR job gives one runtime-block shape and the same message and network
+// byte counts, and per-process counters such as the telemetry tallies reach
+// the merged distributed stats as the sum of the workers' own reports.
+TEST(NetDistributedTest, RuntimeStatsMatchTheThreadedEngine) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+  NetworkRankingApp app(f.graph.num_vertices());
+
+  EngineOptions threaded;
+  threaded.engine = EngineKind::kConcurrent;
+  threaded.propagation = config;
+  auto local = RunViaEngine(setup, app, threaded);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  ASSERT_TRUE(local->runtime_stats.has_value());
+
+  net::DistributedOptions options;
+  options.max_processes = 3;
+  options.telemetry.enabled = true;
+  net::DistributedExecutor<NetworkRankingApp> dist(
+      setup.graph, setup.placement, setup.topology, app, config, options);
+  ASSERT_TRUE(dist.Run().ok());
+
+  const obs::JsonValue local_block =
+      runtime::RuntimeStatsToJson(*local->runtime_stats);
+  const obs::JsonValue dist_block = runtime::RuntimeStatsToJson(dist.stats());
+  std::set<std::string> local_keys;
+  for (const auto& [key, value] : local_block.as_object()) {
+    local_keys.insert(key);
+  }
+  std::set<std::string> dist_keys;
+  for (const auto& [key, value] : dist_block.as_object()) {
+    if (key != "num_processes") {
+      dist_keys.insert(key);
+    }
+  }
+  EXPECT_EQ(local_keys, dist_keys);
+  EXPECT_EQ(local->runtime_stats->messages_sent, dist.stats().messages_sent);
+  EXPECT_EQ(local->runtime_stats->TotalNetworkBytes(),
+            dist.stats().TotalNetworkBytes());
+
+  uint64_t reported_samples = 0;
+  ASSERT_EQ(dist.worker_reports().size(), 3u);
+  for (const std::string& text : dist.worker_reports()) {
+    auto report = obs::ParseJson(text);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const obs::JsonValue* runtime = report->Find("runtime");
+    ASSERT_NE(runtime, nullptr);
+    const obs::JsonValue* samples = runtime->Find("telemetry_samples");
+    ASSERT_NE(samples, nullptr);
+    reported_samples += static_cast<uint64_t>(samples->as_number());
+  }
+  EXPECT_GT(dist.stats().telemetry_samples, 0u);
+  EXPECT_EQ(dist.stats().telemetry_samples, reported_samples);
 }
 
 TEST(NetDistributedTest, ClockSyncedTracesMergeWithOffsetAlignment) {

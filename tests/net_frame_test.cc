@@ -4,7 +4,10 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <set>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +16,9 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/transport.h"
+#include "obs/json.h"
+#include "runtime/report.h"
+#include "runtime/stats.h"
 
 namespace surfer {
 namespace net {
@@ -206,22 +212,24 @@ TEST(NetControlTest, RoundMsgRoundTrips) {
 
 TEST(NetControlTest, WorkerStatsRoundTripWithLinkMatrix) {
   WorkerStatsMsg msg;
-  msg.tasks_executed = 10;
-  msg.tasks_reexecuted = 2;
-  msg.messages_sent = 12345;
-  msg.tcp_bytes_sent = 999;
-  msg.resend_bytes = 7;
-  msg.replication_bytes = 13;
+  msg.counters.tasks_executed = 10;
+  msg.counters.tasks_reexecuted = 2;
+  msg.counters.messages_sent = 12345;
+  msg.counters.tcp_bytes_sent = 999;
+  msg.counters.resend_bytes = 7;
+  msg.counters.replication_bytes = 13;
   msg.peak_rss_bytes = 1 << 20;
   msg.link_bytes = {0, 5, 10, 0};
   auto decoded = DecodeWorkerStats(EncodeWorkerStats(msg));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->tasks_executed, msg.tasks_executed);
-  EXPECT_EQ(decoded->tasks_reexecuted, msg.tasks_reexecuted);
-  EXPECT_EQ(decoded->messages_sent, msg.messages_sent);
-  EXPECT_EQ(decoded->tcp_bytes_sent, msg.tcp_bytes_sent);
-  EXPECT_EQ(decoded->resend_bytes, msg.resend_bytes);
-  EXPECT_EQ(decoded->replication_bytes, msg.replication_bytes);
+  EXPECT_EQ(decoded->counters.tasks_executed, msg.counters.tasks_executed);
+  EXPECT_EQ(decoded->counters.tasks_reexecuted,
+            msg.counters.tasks_reexecuted);
+  EXPECT_EQ(decoded->counters.messages_sent, msg.counters.messages_sent);
+  EXPECT_EQ(decoded->counters.tcp_bytes_sent, msg.counters.tcp_bytes_sent);
+  EXPECT_EQ(decoded->counters.resend_bytes, msg.counters.resend_bytes);
+  EXPECT_EQ(decoded->counters.replication_bytes,
+            msg.counters.replication_bytes);
   EXPECT_EQ(decoded->peak_rss_bytes, msg.peak_rss_bytes);
   EXPECT_EQ(decoded->link_bytes, msg.link_bytes);
 }
@@ -269,6 +277,123 @@ TEST(NetControlTest, PlacementCarriesFaultPlansAndTolerance) {
   EXPECT_EQ(decoded->faults[0].iteration, plan.iteration);
   EXPECT_EQ(decoded->faults[0].stage, plan.stage);
   EXPECT_EQ(decoded->faults[0].after_tasks, plan.after_tasks);
+}
+
+// A fault count read off the wire must fit the bytes that follow it before
+// anything is allocated: 0xFFFFFFFF plans would be ~52 GB of vector.
+TEST(NetControlTest, ForgedPlacementFaultCountIsRejectedBeforeAllocation) {
+  PlacementMsg msg;
+  msg.num_machines = 2;
+  msg.num_partitions = 1;
+  msg.replication = 2;
+  msg.replicas = {0, 1};
+  runtime::RuntimeFaultPlan plan;
+  msg.faults.push_back(plan);
+  std::vector<uint8_t> encoded = EncodePlacement(msg);
+  // Header: three u32 + u8, then the replica vector (u32 count + 2 ids).
+  const size_t count_offset = 3 * sizeof(uint32_t) + sizeof(uint8_t) +
+                              sizeof(uint32_t) + 2 * sizeof(MachineId);
+  uint32_t count = 0;
+  std::memcpy(&count, encoded.data() + count_offset, sizeof(count));
+  ASSERT_EQ(count, 1u);
+  count = 0xFFFFFFFFu;
+  std::memcpy(encoded.data() + count_offset, &count, sizeof(count));
+  auto decoded = DecodePlacement(encoded);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(NetControlTest, PlacementFaultStageOutsideTheEnumIsCorruption) {
+  PlacementMsg msg;
+  msg.num_machines = 2;
+  msg.num_partitions = 1;
+  msg.replication = 2;
+  msg.replicas = {0, 1};
+  runtime::RuntimeFaultPlan plan;
+  plan.stage = runtime::RuntimeStage::kCombine;
+  msg.faults.push_back(plan);
+  std::vector<uint8_t> encoded = EncodePlacement(msg);
+  // The plan's stage byte follows the fault count, machine and iteration.
+  const size_t stage_offset = 3 * sizeof(uint32_t) + sizeof(uint8_t) +
+                              sizeof(uint32_t) + 2 * sizeof(MachineId) +
+                              sizeof(uint32_t) + sizeof(uint32_t) +
+                              sizeof(int32_t);
+  ASSERT_EQ(encoded[stage_offset],
+            static_cast<uint8_t>(runtime::RuntimeStage::kCombine));
+  encoded[stage_offset] = 2;
+  auto decoded = DecodePlacement(encoded);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+/// A well-formed round for 3 partitions on 3 machines.
+RoundMsg ValidRound() {
+  RoundMsg msg;
+  msg.seq = 7;
+  msg.kind = RoundKind::kTransfer;
+  msg.alive = {1, 1, 0};
+  msg.exec = {0, 1, kInvalidMachine};
+  msg.route = {0, 1, 1};
+  msg.reexec = {kInvalidMachine, kInvalidMachine, kInvalidMachine};
+  return msg;
+}
+
+void ExpectRoundRejected(const RoundMsg& msg) {
+  const Status status = ValidateRound(msg, /*num_partitions=*/3,
+                                      /*num_machines=*/3);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+}
+
+TEST(NetControlTest, ValidateRoundAcceptsAWellFormedRound) {
+  EXPECT_TRUE(ValidateRound(ValidRound(), 3, 3).ok());
+  RoundMsg resend = ValidRound();
+  resend.kind = RoundKind::kResend;
+  EXPECT_TRUE(ValidateRound(resend, 3, 3).ok());
+}
+
+TEST(NetControlTest, ValidateRoundRejectsUnknownKind) {
+  RoundMsg msg = ValidRound();
+  msg.kind = static_cast<RoundKind>(3);
+  ExpectRoundRejected(msg);
+  // The same byte through the codec: DecodeRound accepts it, the check
+  // is what stops it.
+  auto decoded = DecodeRound(EncodeRound(msg));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectRoundRejected(*decoded);
+}
+
+TEST(NetControlTest, ValidateRoundRejectsShortExec) {
+  RoundMsg msg = ValidRound();
+  msg.exec.pop_back();
+  ExpectRoundRejected(msg);
+}
+
+TEST(NetControlTest, ValidateRoundRejectsShortRoute) {
+  RoundMsg msg = ValidRound();
+  msg.route.pop_back();
+  ExpectRoundRejected(msg);
+}
+
+TEST(NetControlTest, ValidateRoundRejectsLongReexec) {
+  RoundMsg msg = ValidRound();
+  msg.reexec.push_back(kInvalidMachine);
+  ExpectRoundRejected(msg);
+}
+
+TEST(NetControlTest, ValidateRoundRejectsWrongAliveLength) {
+  RoundMsg msg = ValidRound();
+  msg.alive.pop_back();
+  ExpectRoundRejected(msg);
+}
+
+TEST(NetControlTest, ValidateRoundRejectsOutOfRangeMachine) {
+  for (std::vector<MachineId> RoundMsg::*table :
+       {&RoundMsg::exec, &RoundMsg::route, &RoundMsg::reexec}) {
+    RoundMsg msg = ValidRound();
+    (msg.*table)[1] = 3;  // one past the last machine
+    ExpectRoundRejected(msg);
+  }
 }
 
 TEST(NetFrameTest, FramesCarryPerLinkSequenceAndSendStamp) {
@@ -466,14 +591,81 @@ TEST(NetTransportTest, ClockSyncAgreesAcrossASocketpair) {
   EXPECT_LT(std::abs(client_result->offset_us), 100 * 1000);
 }
 
+/// Every strict prefix of a valid encoding must decode to Corruption.
+template <typename Decode>
+void ExpectEveryPrefixIsCorruption(const std::vector<uint8_t>& encoded,
+                                   Decode decode, const char* what) {
+  ASSERT_TRUE(decode(encoded).ok()) << what;
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    const std::vector<uint8_t> prefix(encoded.begin(), encoded.begin() + len);
+    const auto decoded = decode(prefix);
+    ASSERT_FALSE(decoded.ok()) << what << " prefix " << len;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << what << " prefix " << len;
+  }
+}
+
 TEST(NetControlTest, TruncatedControlPayloadIsCorruption) {
+  WorkerStatsMsg stats;
+  stats.counters.messages_sent = 5;
+  stats.link_bytes = {1, 2, 3, 4};
+  stats.clock_offset_us = {0, -3};
+  stats.clock_uncertainty_us = {0, 2};
+  stats.round_link_stats.push_back(RoundLinkStat{});
+  ExpectEveryPrefixIsCorruption(EncodeWorkerStats(stats), DecodeWorkerStats,
+                                "WorkerStatsMsg");
+
+  PlacementMsg placement;
+  placement.num_machines = 2;
+  placement.num_partitions = 1;
+  placement.replication = 2;
+  placement.replicas = {0, 1};
+  placement.faults.push_back(runtime::RuntimeFaultPlan{});
+  ExpectEveryPrefixIsCorruption(EncodePlacement(placement), DecodePlacement,
+                                "PlacementMsg");
+
+  ExpectEveryPrefixIsCorruption(EncodeRound(ValidRound()), DecodeRound,
+                                "RoundMsg");
+}
+
+// Driven by RuntimeCounters::ForEachCounter alone, so a counter added to the
+// list is covered here without editing the test: each counter gets a
+// distinct value, survives the stats message, doubles under +=, and gets
+// its own runtime-block key.
+TEST(NetControlTest, EveryListedCounterShipsSumsAndReports) {
+  runtime::RuntimeCounters counters;
+  double next = 1.0;
+  runtime::RuntimeCounters::ForEachCounter([&](const char*, auto member) {
+    using Field = std::remove_reference_t<decltype(counters.*member)>;
+    counters.*member = static_cast<Field>(next);
+    next += 1.0;
+  });
+
   WorkerStatsMsg msg;
-  msg.link_bytes = {1, 2, 3, 4};
-  std::vector<uint8_t> encoded = EncodeWorkerStats(msg);
-  encoded.resize(encoded.size() / 2);
-  auto decoded = DecodeWorkerStats(encoded);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  msg.counters = counters;
+  auto decoded = DecodeWorkerStats(EncodeWorkerStats(msg));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+
+  runtime::RuntimeCounters doubled = counters;
+  doubled += doubled;
+
+  runtime::RuntimeStats stats;
+  static_cast<runtime::RuntimeCounters&>(stats) = counters;
+  const obs::JsonValue block = runtime::RuntimeStatsToJson(stats);
+
+  std::set<std::string> names;
+  runtime::RuntimeCounters::ForEachCounter([&](const char* name,
+                                               auto member) {
+    EXPECT_TRUE(names.insert(name).second) << "duplicate counter " << name;
+    EXPECT_EQ(decoded->counters.*member, counters.*member) << name;
+    EXPECT_EQ(doubled.*member, 2 * (counters.*member)) << name;
+    const obs::JsonValue* value = block.Find(name);
+    ASSERT_NE(value, nullptr) << name;
+    ASSERT_TRUE(value->is_number()) << name;
+    EXPECT_EQ(value->as_number(), static_cast<double>(counters.*member))
+        << name;
+  });
+  EXPECT_EQ(names.size(), runtime::kNumRuntimeCounters);
 }
 
 }  // namespace
