@@ -18,6 +18,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "runtime/stats.h"
 
 namespace surfer {
 namespace bench {
@@ -129,6 +130,15 @@ inline obs::JsonValue MakeBenchBaseline(const std::string& name, bool smoke) {
                static_cast<uint64_t>(std::thread::hardware_concurrency()));
   baseline.Set("provenance", obs::BuildProvenance());
   return baseline;
+}
+
+/// Sets every listed runtime counter on a bench point under its run-report
+/// key, so points carry the same counter names as the runtime block.
+inline void SetRuntimeCounters(const runtime::RuntimeCounters& counters,
+                               obs::JsonValue& point) {
+  runtime::RuntimeCounters::ForEachCounter([&](const char* name, auto member) {
+    point.Set(name, counters.*member);
+  });
 }
 
 /// Writes a perf baseline to `<artifact dir>/<filename>`.

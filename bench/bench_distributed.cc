@@ -124,17 +124,12 @@ int main(int argc, char** argv) {
     point.Set("wall_s", stats.wall_seconds);
     point.Set("bit_identical", true);
     point.Set("links_reconciled", true);
-    point.Set("tcp_frames_sent", stats.tcp_frames_sent);
-    point.Set("tcp_bytes_sent", stats.tcp_bytes_sent);
+    // Every listed counter, summed by the executor from each process's
+    // WorkerStatsMsg counters (NR is not frontier-skippable, so
+    // frontier_vertices_skipped doubles as a pin that the gate stays inert).
+    SetRuntimeCounters(stats, point);
     point.Set("network_bytes", stats.TotalNetworkBytes());
-    point.Set("tasks_executed", stats.tasks_executed);
     point.Set("barrier_generations", stats.barrier_generations);
-    // Combine-plan counters, summed by the executor from each process's
-    // WorkerStatsMsg counters (NR is not frontier-skippable, so the skipped
-    // count doubles as a pin that the gate stays inert for it).
-    point.Set("combine_messages_scattered", stats.combine_messages_scattered);
-    point.Set("combine_scatter_seconds", stats.combine_scatter_seconds);
-    point.Set("frontier_vertices_skipped", stats.frontier_vertices_skipped);
     point.Set("peak_rss_bytes", stats.peak_rss_bytes);
     points.Append(std::move(point));
   }

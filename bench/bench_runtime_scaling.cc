@@ -166,26 +166,15 @@ int main(int argc, char** argv) {
     point.Set("wall_s", stats.wall_seconds);
     point.Set("speedup", speedup);
     point.Set("bit_identical", true);
-    point.Set("send_stalls", stats.send_stalls);
-    point.Set("items_stalled", stats.items_stalled);
-    point.Set("barrier_wait_seconds", stats.barrier_wait_seconds);
+    // Every listed counter: stalls, barrier wait, the wire-plane and
+    // combine-plan counters (frontier_vertices_skipped stays 0 for NR, whose
+    // Combine is not skippable, pinning that the gate is inert here) and the
+    // telemetry tallies.
+    SetRuntimeCounters(stats, point);
     point.Set("barrier_wait_mean_s", stats.barrier_wait_mean_s);
     point.Set("barrier_wait_max_s", stats.barrier_wait_max_s);
     point.Set("network_bytes", stats.TotalNetworkBytes());
-    point.Set("messages_sent", stats.messages_sent);
-    point.Set("wire_batches_sent", stats.wire_batches_sent);
-    point.Set("wire_segments_sent", stats.wire_segments_sent);
-    point.Set("wire_payload_bytes", stats.wire_payload_bytes);
-    point.Set("wire_messages_combined", stats.wire_messages_combined);
     point.Set("batch_fill_mean", stats.batch_fill.Mean());
-    // The combine-plan counters introduced with the sort-free regroup: how
-    // many messages went through the counting scatter, how long the scatter
-    // itself took (the bench-gated throughput), and how many silent
-    // vertices the frontier gate skipped (0 for NR, whose Combine is not
-    // skippable — pinning that the gate stays inert here).
-    point.Set("combine_messages_scattered", stats.combine_messages_scattered);
-    point.Set("combine_scatter_seconds", stats.combine_scatter_seconds);
-    point.Set("frontier_vertices_skipped", stats.frontier_vertices_skipped);
     // Per-stage host-time split summed from the superstep timeline (all
     // steps x machines), so the baseline trends where the wall clock goes:
     // UDF compute vs wire-batch serialization.
@@ -200,8 +189,6 @@ int main(int argc, char** argv) {
     point.Set("compute_s", timeline_compute_s);
     point.Set("serialize_s", timeline_serialize_s);
     point.Set("trace_events_dropped", stats.trace_events_dropped);
-    point.Set("telemetry_samples", stats.telemetry_samples);
-    point.Set("telemetry_samples_dropped", stats.telemetry_samples_dropped);
     point.Set("peak_rss_bytes", stats.peak_rss_bytes);
     points.Append(std::move(point));
     last_runtime_block = runtime::RuntimeStatsToJson(stats);

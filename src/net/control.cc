@@ -352,6 +352,32 @@ Result<WorkerStatsMsg> DecodeWorkerStats(const std::vector<uint8_t>& payload) {
   return msg;
 }
 
+Status ValidateWorkerStats(const WorkerStatsMsg& msg, uint32_t num_machines,
+                           uint32_t num_processes) {
+  const size_t links = static_cast<size_t>(num_machines) * num_machines;
+  if (msg.link_bytes.size() != links) {
+    return Status::Corruption("link matrix has " +
+                              std::to_string(msg.link_bytes.size()) +
+                              " entries, expected " +
+                              std::to_string(num_machines) + "^2");
+  }
+  for (const size_t size :
+       {msg.clock_offset_us.size(), msg.clock_uncertainty_us.size()}) {
+    if (size != 0 && size != num_processes) {
+      return Status::Corruption("clock vector has " + std::to_string(size) +
+                                " entries for " +
+                                std::to_string(num_processes) + " processes");
+    }
+  }
+  for (const RoundLinkStat& link : msg.round_link_stats) {
+    if (link.from_proc >= num_processes) {
+      return Status::Corruption("round link names unknown process " +
+                                std::to_string(link.from_proc));
+    }
+  }
+  return Status::OK();
+}
+
 std::vector<uint8_t> EncodeFinalState(const FinalStateMsg& msg) {
   std::vector<uint8_t> out;
   AppendPod(out, msg.partition);

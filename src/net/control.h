@@ -250,6 +250,12 @@ Result<StateUpdateMsg> DecodeStateUpdate(const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodeWorkerStats(const WorkerStatsMsg& msg);
 Result<WorkerStatsMsg> DecodeWorkerStats(const std::vector<uint8_t>& payload);
+/// Checks a decoded stats message against the run's shape before the
+/// coordinator merges it: a link matrix of exactly M x M entries, clock
+/// vectors that are empty or hold one entry per process, and every round
+/// link's sender a real process. Corruption otherwise.
+Status ValidateWorkerStats(const WorkerStatsMsg& msg, uint32_t num_machines,
+                           uint32_t num_processes);
 
 std::vector<uint8_t> EncodeFinalState(const FinalStateMsg& msg);
 Result<FinalStateMsg> DecodeFinalState(const std::vector<uint8_t>& payload);

@@ -600,6 +600,15 @@ Status DistributedCoordinator::Finalize(CoordinatorOutcome* out) {
         case FrameType::kWorkerStats: {
           SURFER_ASSIGN_OR_RETURN(out->worker_stats[i],
                                   DecodeWorkerStats(frame->payload));
+          if (const Status valid =
+                  ValidateWorkerStats(out->worker_stats[i],
+                                      params_.num_machines,
+                                      params_.num_processes);
+              !valid.ok()) {
+            return Status::Corruption("stats from process " +
+                                      std::to_string(i) + ": " +
+                                      valid.message());
+          }
           break;
         }
         case FrameType::kFinalState: {

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <set>
 #include <string>
 #include <thread>
@@ -59,8 +60,6 @@ struct DistributedOptions {
   /// ownership rule, so a process death is a correlated failure of its
   /// hosted machine group.
   uint32_t max_processes = 0;
-  /// Wire-plane staging knobs (shared with the threaded runtime).
-  runtime::WireBatchOptions wire;
   /// Task-granular fault plans. Here a plan kills the *process* hosting the
   /// planned machine (flushing completed-task output first), so recovery
   /// exercises real process death, reconnect-free mesh degradation, and
@@ -235,8 +234,8 @@ class DistributedWorker {
     for (MachineId m : hosted_) {
       stagers_.emplace(
           std::piecewise_construct, std::forward_as_tuple(m),
-          std::forward_as_tuple(&app_, options_.wire, pool_.get(), m,
-                                num_machines_, wire_combine_,
+          std::forward_as_tuple(&app_, runtime::WireBatchOptions{},
+                                pool_.get(), m, num_machines_, wire_combine_,
                                 graph_->encoding().starts()));
     }
 
@@ -695,7 +694,7 @@ class DistributedWorker {
           runtime::WireBatch& out = it->second;
           if (!out.payload.empty() &&
               out.payload.size() + (end - begin) >
-                  options_.wire.max_batch_bytes) {
+                  runtime::WireBatchOptions{}.max_batch_bytes) {
             runtime::WireBatch full = std::move(out);
             out = runtime::WireBatch{};
             out.src_machine = batch.src_machine;
@@ -727,10 +726,11 @@ class DistributedWorker {
   /// Two stagers keep rebuilt and retain-only streams in separate batches.
   void ReexecTransfer(PartitionId q, MachineId m, const RoundMsg& round) {
     const auto& starts = graph_->encoding().starts();
-    runtime::WireStager<App> send_stager(&app_, options_.wire, pool_.get(), m,
+    const runtime::WireBatchOptions wire;
+    runtime::WireStager<App> send_stager(&app_, wire, pool_.get(), m,
                                          num_machines_, wire_combine_, starts);
-    runtime::WireStager<App> retain_stager(&app_, options_.wire, pool_.get(),
-                                           m, num_machines_, wire_combine_,
+    runtime::WireStager<App> retain_stager(&app_, wire, pool_.get(), m,
+                                           num_machines_, wire_combine_,
                                            starts);
     auto send = [&](runtime::WireBatch&& batch) {
       return ShipBatch(std::move(batch), /*resend=*/true, /*retain=*/true);
@@ -863,19 +863,10 @@ class DistributedWorker {
   /// stager, pool, transport, telemetry and memory readings taken now.
   runtime::RuntimeStats LocalStats() {
     runtime::RuntimeStats stats = stats_;
-    for (const auto& [m, stager] : stagers_) {
-      runtime::AddWireStagerStats(stager.stats(), stats);
-    }
-    const runtime::WireBufferPool::Stats pool = pool_->stats();
-    stats.pool_buffers_acquired = pool.acquires;
-    stats.pool_buffers_reused = pool.reuses;
+    runtime::ReadEndOfRunStats(std::views::values(stagers_), *pool_,
+                               *telemetry_, stats);
     stats.tcp_bytes_sent = transport_.tcp_bytes_sent();
     stats.tcp_frames_sent = transport_.tcp_frames_sent();
-    stats.telemetry_samples = telemetry_->samples_taken();
-    stats.telemetry_samples_dropped = telemetry_->total_dropped();
-    const obs::MemoryUsage memory = obs::ReadMemoryUsage();
-    stats.rss_bytes = memory.rss_bytes;
-    stats.peak_rss_bytes = memory.peak_rss_bytes;
     return stats;
   }
 
@@ -1060,6 +1051,7 @@ class DistributedExecutor {
     stats_.wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall_start)
                               .count();
+    runtime::ExportRuntimeStats(stats_, config_.metrics);
     return Status::OK();
   }
 

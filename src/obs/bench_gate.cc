@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <set>
 
+#include "obs/run_report.h"
+
 namespace surfer {
 namespace obs {
 
@@ -183,15 +185,19 @@ BenchCheckResult CheckBenchBaseline(const JsonValue& current,
   // Correctness gates first: these hold regardless of workload shape.
   const JsonValue* current_points = current.Find("points");
   if (current_points == nullptr || !current_points->is_array()) {
-    // A pointless file on both sides is a run-report-style artifact (e.g.
-    // the merged distributed cluster report), not a bench baseline: gate
-    // its top-level drop counters and stop. A missing points array against
-    // a baseline that *has* one stays a hard failure.
+    // A pointless file on both sides is a run-report artifact (a bench's
+    // report, a distributed worker's or the merged cluster report), not a
+    // bench baseline: it must pass the run-report schema, and its top-level
+    // drop counters are gated. A missing points array against a baseline
+    // that *has* one stays a hard failure.
     if (baseline.Find("points") == nullptr ||
         !baseline.Find("points")->is_array()) {
+      if (const Status schema = ValidateRunReport(current); !schema.ok()) {
+        result.Fail(schema.message());
+      }
       CheckDrops("report", current, options.strict_drops, &result);
-      result.Note("no 'points' array on either side; gated as a report "
-                  "artifact (drop counters only)");
+      result.Note("no 'points' array on either side; gated as a run report "
+                  "(schema and drop counters)");
       return result;
     }
     result.Fail("current file has no 'points' array");

@@ -4,6 +4,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <thread>
 
 #include <unistd.h>
@@ -47,6 +48,22 @@ Status Expect(bool condition, const std::string& what) {
 Status RequireNumber(const JsonValue& obj, const std::string& key) {
   const JsonValue* v = obj.Find(key);
   return Expect(v != nullptr && v->is_number(), "missing number '" + key + "'");
+}
+
+/// `obj[key]` must be an array of objects, each carrying `keys` as numbers.
+Status RequireRows(const JsonValue& obj, const std::string& key,
+                   std::initializer_list<const char*> keys) {
+  const JsonValue* rows = obj.Find(key);
+  SURFER_RETURN_IF_ERROR(
+      Expect(rows != nullptr && rows->is_array(), key + " missing"));
+  for (const JsonValue& row : rows->as_array()) {
+    SURFER_RETURN_IF_ERROR(
+        Expect(row.is_object(), key + " row must be an object"));
+    for (const char* field : keys) {
+      SURFER_RETURN_IF_ERROR(RequireNumber(row, field));
+    }
+  }
+  return Status::OK();
 }
 
 /// A field later schema revisions added without a version bump: older
@@ -277,21 +294,21 @@ Status ValidateRunReport(const JsonValue& report) {
           "barrier_generations", "wall_seconds", "network_bytes"}) {
       SURFER_RETURN_IF_ERROR(RequireNumber(*runtime, key));
     }
-    for (const char* key :
-         {"barrier_waits_spun", "barrier_waits_parked", "handoff_seconds"}) {
-      SURFER_RETURN_IF_ERROR(OptionalNumber(*runtime, key));
-    }
-    const JsonValue* channels = runtime->Find("channels");
-    SURFER_RETURN_IF_ERROR(Expect(channels != nullptr && channels->is_array(),
-                                  "runtime.channels missing"));
-    for (const JsonValue& channel : channels->as_array()) {
+    // Later revisions added runtime keys without a version bump, so the
+    // only other typing rule is that every scalar in the block is a number.
+    for (const auto& [key, value] : runtime->as_object()) {
       SURFER_RETURN_IF_ERROR(
-          Expect(channel.is_object(), "runtime channel must be an object"));
-      for (const char* key :
-           {"src", "dst", "capacity", "bytes", "sends", "receives"}) {
-        SURFER_RETURN_IF_ERROR(RequireNumber(channel, key));
-      }
+          Expect(value.is_object() || value.is_array() || value.is_number(),
+                 "runtime." + key + " must be a number"));
     }
+    // Reports older than the "links" rows carry none.
+    if (runtime->Find("links") != nullptr) {
+      SURFER_RETURN_IF_ERROR(
+          RequireRows(*runtime, "links", {"src", "dst", "bytes"}));
+    }
+    SURFER_RETURN_IF_ERROR(
+        RequireRows(*runtime, "channels",
+                    {"src", "dst", "capacity", "bytes", "sends", "receives"}));
     for (const char* key : {"channel_depth", "barrier_wait"}) {
       const JsonValue* hist = runtime->Find(key);
       SURFER_RETURN_IF_ERROR(
@@ -319,16 +336,10 @@ Status ValidateRunReport(const JsonValue& report) {
               (stage->as_string() == "transfer" ||
                stage->as_string() == "combine"),
           "timeline.steps[].stage must be 'transfer' or 'combine'"));
-      const JsonValue* machines = step.Find("machines");
       SURFER_RETURN_IF_ERROR(
-          Expect(machines != nullptr && machines->is_array(),
-                 "timeline.steps[].machines missing"));
-      for (const JsonValue& machine : machines->as_array()) {
-        for (const char* key : {"machine", "compute_s", "serialize_s",
-                                "blocked_s", "barrier_s", "busy_s"}) {
-          SURFER_RETURN_IF_ERROR(RequireNumber(machine, key));
-        }
-      }
+          RequireRows(step, "machines",
+                      {"machine", "compute_s", "serialize_s", "blocked_s",
+                       "barrier_s", "busy_s"}));
       const JsonValue* straggler = step.Find("straggler");
       SURFER_RETURN_IF_ERROR(
           Expect(straggler != nullptr && straggler->is_object(),
@@ -342,14 +353,8 @@ Status ValidateRunReport(const JsonValue& report) {
         Expect(critical != nullptr && critical->is_object(),
                "timeline.critical_path missing"));
     SURFER_RETURN_IF_ERROR(RequireNumber(*critical, "total_busy_s"));
-    const JsonValue* path_steps = critical->Find("steps");
     SURFER_RETURN_IF_ERROR(
-        Expect(path_steps != nullptr && path_steps->is_array(),
-               "timeline.critical_path.steps missing"));
-    for (const JsonValue& entry : path_steps->as_array()) {
-      SURFER_RETURN_IF_ERROR(RequireNumber(entry, "step"));
-      SURFER_RETURN_IF_ERROR(RequireNumber(entry, "busy_s"));
-    }
+        RequireRows(*critical, "steps", {"step", "busy_s"}));
   }
 
   // Schema v3: the flight recorder's time series. Optional (telemetry off,

@@ -17,7 +17,6 @@
 #include "cluster/topology.h"
 #include "common/logging.h"
 #include "common/result.h"
-#include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/trace_shard.h"
@@ -29,6 +28,7 @@
 #include "runtime/channel_plan.h"
 #include "runtime/fault.h"
 #include "runtime/partition_kernel.h"
+#include "runtime/report.h"
 #include "runtime/stats.h"
 #include "runtime/timeline.h"
 #include "runtime/wire_batch.h"
@@ -55,13 +55,6 @@ struct RuntimeOptions {
   /// is still admitted once the queue is empty (progress guarantee), so a
   /// tiny window maximizes backpressure without deadlocking.
   size_t channel_window_bytes = kDefaultChannelWindowBytes;
-  /// Wire-plane staging knobs: batch size cap and flush deadline (see
-  /// WireBatchOptions).
-  WireBatchOptions wire;
-  /// Ring slots of each worker's SPSC trace shard (rounded up to a power of
-  /// two). Per-task profiling events overflow into drop counts, never into
-  /// blocking; see RuntimeStats::trace_events_dropped.
-  size_t trace_shard_capacity = obs::ShardedTracer::kDefaultShardCapacity;
   /// Flight-recorder sampling of runtime gauges (channel occupancy, pool
   /// pressure, barrier membership, RSS): off by default. The instrumented
   /// hot paths only ever update relaxed atomics — one store per batch-level
@@ -169,8 +162,9 @@ class RuntimeExecutor {
     stagers_.clear();
     stagers_.reserve(num_machines);
     for (MachineId m = 0; m < num_machines; ++m) {
-      stagers_.emplace_back(&app_, options_.wire, pool_.get(), m, num_machines,
-                            wire_combine, graph_->encoding().starts());
+      stagers_.emplace_back(&app_, WireBatchOptions{}, pool_.get(), m,
+                            num_machines, wire_combine,
+                            graph_->encoding().starts());
     }
 
     const uint32_t num_partitions = graph_->num_partitions();
@@ -219,7 +213,8 @@ class RuntimeExecutor {
     sharded_.reset();
     if (config_.tracer != nullptr && obs::Tracer::CompiledIn()) {
       sharded_ = std::make_unique<obs::ShardedTracer>(
-          config_.tracer, num_workers, options_.trace_shard_capacity);
+          config_.tracer, num_workers,
+          obs::ShardedTracer::kDefaultShardCapacity);
       transfer_name_id_ =
           sharded_->InternName("rt_task_transfer", "runtime", "partition");
       combine_name_id_ =
@@ -838,14 +833,7 @@ class RuntimeExecutor {
       stats_.channel_depth.Merge(snapshot.depth_on_send);
       stats_.channels.push_back(std::move(snapshot));
     }
-    for (const WireStager<App>& stager : stagers_) {
-      AddWireStagerStats(stager.stats(), stats_);
-    }
-    if (pool_ != nullptr) {
-      const WireBufferPool::Stats pool = pool_->stats();
-      stats_.pool_buffers_acquired = pool.acquires;
-      stats_.pool_buffers_reused = pool.reuses;
-    }
+    ReadEndOfRunStats(stagers_, *pool_, *telemetry_, stats_);
 
     stats_.timeline.clear();
     stats_.timeline.reserve(step_phases_.size());
@@ -870,76 +858,7 @@ class RuntimeExecutor {
     if (sharded_ != nullptr) {
       stats_.trace_events_dropped = sharded_->total_dropped();
     }
-    if (telemetry_ != nullptr) {
-      stats_.telemetry_samples = telemetry_->samples_taken();
-      stats_.telemetry_samples_dropped = telemetry_->total_dropped();
-    }
-    const obs::MemoryUsage memory = obs::ReadMemoryUsage();
-    stats_.rss_bytes = memory.rss_bytes;
-    stats_.peak_rss_bytes = memory.peak_rss_bytes;
-
-    obs::MetricsRegistry* metrics = config_.metrics;
-    if (metrics == nullptr) {
-      return;
-    }
-    metrics->CounterRef("runtime_runs_total").Increment();
-    metrics->CounterRef("runtime_tasks_executed")
-        .Increment(stats_.tasks_executed);
-    metrics->CounterRef("runtime_tasks_reexecuted")
-        .Increment(stats_.tasks_reexecuted);
-    metrics->CounterRef("runtime_machine_failures")
-        .Increment(stats_.machine_failures);
-    metrics->CounterRef("runtime_messages_sent")
-        .Increment(stats_.messages_sent);
-    metrics->CounterRef("runtime_buffers_sent").Increment(stats_.buffers_sent);
-    metrics->CounterRef("runtime_send_stalls").Increment(stats_.send_stalls);
-    metrics->CounterRef("runtime_items_stalled")
-        .Increment(stats_.items_stalled);
-    metrics->CounterRef("runtime_wire_batches_sent")
-        .Increment(stats_.wire_batches_sent);
-    metrics->CounterRef("runtime_wire_segments_sent")
-        .Increment(stats_.wire_segments_sent);
-    metrics->CounterRef("runtime_wire_payload_bytes")
-        .Increment(stats_.wire_payload_bytes);
-    metrics->CounterRef("runtime_wire_messages_combined")
-        .Increment(stats_.wire_messages_combined);
-    metrics->CounterRef("runtime_combine_messages_scattered")
-        .Increment(stats_.combine_messages_scattered);
-    metrics->CounterRef("runtime_frontier_vertices_skipped")
-        .Increment(stats_.frontier_vertices_skipped);
-    metrics->GaugeRef("runtime_combine_scatter_seconds")
-        .Set(stats_.combine_scatter_seconds);
-    metrics->CounterRef("runtime_barrier_generations")
-        .Increment(stats_.barrier_generations);
-    metrics->CounterRef("runtime_network_bytes")
-        .Increment(stats_.TotalNetworkBytes());
-    metrics->GaugeRef("runtime_wall_seconds").Set(stats_.wall_seconds);
-    metrics->GaugeRef("runtime_barrier_wait_seconds")
-        .Set(stats_.barrier_wait_seconds);
-    metrics->GaugeRef("runtime_barrier_wait_mean_seconds")
-        .Set(stats_.barrier_wait_mean_s);
-    metrics->GaugeRef("runtime_barrier_wait_max_seconds")
-        .Set(stats_.barrier_wait_max_s);
-    metrics->CounterRef("runtime_telemetry_samples")
-        .Increment(stats_.telemetry_samples);
-    metrics->CounterRef("runtime_telemetry_samples_dropped")
-        .Increment(stats_.telemetry_samples_dropped);
-    // Plain end-of-run memory gauges, exported whether or not the sampler
-    // ran: the bench plane gates peak RSS from these.
-    metrics->GaugeRef("process_rss_bytes")
-        .Set(static_cast<double>(stats_.rss_bytes));
-    metrics->GaugeRef("process_peak_rss_bytes")
-        .Set(static_cast<double>(stats_.peak_rss_bytes));
-    metrics->HistogramRef("runtime_channel_depth")
-        .Merge(stats_.channel_depth);
-    metrics->HistogramRef("runtime_barrier_wait").Merge(stats_.barrier_wait);
-    metrics->CounterRef("runtime_trace_events_dropped")
-        .Increment(stats_.trace_events_dropped);
-    double critical_busy = 0.0;
-    for (const CriticalPathEntry& entry : ComputeCriticalPath(stats_.timeline)) {
-      critical_busy += entry.busy_s;
-    }
-    metrics->GaugeRef("runtime_critical_path_busy_seconds").Set(critical_busy);
+    ExportRuntimeStats(stats_, config_.metrics);
   }
 
   const PartitionedGraph* graph_;

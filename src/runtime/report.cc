@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <type_traits>
 
 namespace surfer {
 namespace runtime {
@@ -67,38 +69,33 @@ obs::JsonValue RuntimeStatsToJson(const RuntimeStats& stats) {
   block.Set("barrier_wait", HistogramToJson(stats.barrier_wait));
   block.Set("batch_fill", HistogramToJson(stats.batch_fill));
 
-  // Only non-trivial channels make it into the report: with M machines there
-  // are M^2 channels but most carry nothing on sparse exchanges.
+  // Only non-trivial links and channels make it into the report: with M
+  // machines there are M^2 of each but most carry nothing on sparse
+  // exchanges. Every engine reports its link matrix; only the threaded one
+  // has channels to snapshot (the distributed engine moves bytes over TCP).
+  obs::JsonValue links = obs::JsonValue::MakeArray();
   obs::JsonValue channels = obs::JsonValue::MakeArray();
   const uint32_t n = stats.num_machines;
   for (uint32_t src = 0; src < n; ++src) {
     for (uint32_t dst = 0; dst < n; ++dst) {
       const size_t idx = static_cast<size_t>(src) * n + dst;
+      const uint64_t bytes =
+          idx < stats.link_bytes.size() ? stats.link_bytes[idx] : 0;
+      obs::JsonValue entry = obs::JsonValue::MakeObject();
+      entry.Set("src", static_cast<uint64_t>(src));
+      entry.Set("dst", static_cast<uint64_t>(dst));
+      entry.Set("bytes", bytes);
+      if (bytes > 0) {
+        links.Append(entry);
+      }
       if (idx >= stats.channels.size()) {
-        // Engines without per-link channels (the distributed engine moves
-        // bytes over TCP sockets instead) report link_bytes only.
-        const uint64_t bytes =
-            idx < stats.link_bytes.size() ? stats.link_bytes[idx] : 0;
-        if (bytes == 0) {
-          continue;
-        }
-        obs::JsonValue entry = obs::JsonValue::MakeObject();
-        entry.Set("src", static_cast<uint64_t>(src));
-        entry.Set("dst", static_cast<uint64_t>(dst));
-        entry.Set("bytes", bytes);
-        channels.Append(std::move(entry));
         continue;
       }
       const ChannelStats& ch = stats.channels[idx];
       if (ch.sends == 0 && ch.stall_attempts == 0) {
         continue;
       }
-      obs::JsonValue entry = obs::JsonValue::MakeObject();
-      entry.Set("src", static_cast<uint64_t>(src));
-      entry.Set("dst", static_cast<uint64_t>(dst));
       entry.Set("capacity", static_cast<uint64_t>(ch.capacity));
-      entry.Set("bytes", stats.link_bytes.empty() ? uint64_t{0}
-                                                  : stats.link_bytes[idx]);
       entry.Set("sends", ch.sends);
       entry.Set("receives", ch.receives);
       // "send_stalls" keeps its historical meaning (every failed attempt)
@@ -109,8 +106,50 @@ obs::JsonValue RuntimeStatsToJson(const RuntimeStats& stats) {
       channels.Append(std::move(entry));
     }
   }
+  block.Set("links", std::move(links));
   block.Set("channels", std::move(channels));
   return block;
+}
+
+void ExportRuntimeStats(const RuntimeStats& stats,
+                        obs::MetricsRegistry* metrics) {
+  if (metrics == nullptr) {
+    return;
+  }
+  metrics->CounterRef("runtime_runs_total").Increment();
+  RuntimeCounters::ForEachCounter([&](const char* name, auto member) {
+    const std::string series = std::string("runtime_") + name;
+    if constexpr (std::is_same_v<decltype(member),
+                                 double RuntimeCounters::*>) {
+      metrics->GaugeRef(series).Set(stats.*member);
+    } else {
+      metrics->CounterRef(series).Increment(stats.*member);
+    }
+  });
+  metrics->CounterRef("runtime_barrier_generations")
+      .Increment(stats.barrier_generations);
+  metrics->CounterRef("runtime_network_bytes")
+      .Increment(stats.TotalNetworkBytes());
+  metrics->GaugeRef("runtime_wall_seconds").Set(stats.wall_seconds);
+  metrics->GaugeRef("runtime_barrier_wait_mean_seconds")
+      .Set(stats.barrier_wait_mean_s);
+  metrics->GaugeRef("runtime_barrier_wait_max_seconds")
+      .Set(stats.barrier_wait_max_s);
+  // Plain end-of-run memory gauges, exported whether or not the sampler
+  // ran: the bench plane gates peak RSS from these.
+  metrics->GaugeRef("process_rss_bytes")
+      .Set(static_cast<double>(stats.rss_bytes));
+  metrics->GaugeRef("process_peak_rss_bytes")
+      .Set(static_cast<double>(stats.peak_rss_bytes));
+  metrics->HistogramRef("runtime_channel_depth").Merge(stats.channel_depth);
+  metrics->HistogramRef("runtime_barrier_wait").Merge(stats.barrier_wait);
+  metrics->CounterRef("runtime_trace_events_dropped")
+      .Increment(stats.trace_events_dropped);
+  double critical_busy = 0.0;
+  for (const CriticalPathEntry& entry : ComputeCriticalPath(stats.timeline)) {
+    critical_busy += entry.busy_s;
+  }
+  metrics->GaugeRef("runtime_critical_path_busy_seconds").Set(critical_busy);
 }
 
 }  // namespace runtime

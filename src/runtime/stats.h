@@ -16,10 +16,11 @@ namespace runtime {
 /// The additive counters of a run: every RuntimeStats field that is summed
 /// across worker threads and worker processes. ForEachCounter below is the
 /// single list of them. It alone drives the sum (operator+=), the counter
-/// keys of the run report's runtime block (RuntimeStatsToJson) and the
+/// keys of the run report's runtime block (RuntimeStatsToJson), the
+/// runtime_<key> metrics-registry series (ExportRuntimeStats) and the
 /// counter part of the distributed engine's stats message
 /// (net::EncodeWorkerStats), so a counter added here and listed there is
-/// summed, reported and shipped with no other edit.
+/// summed, reported, exported and shipped with no other edit.
 struct RuntimeCounters {
   uint64_t tasks_executed = 0;    ///< transfer + combine tasks run, incl. retries
   uint64_t tasks_reexecuted = 0;  ///< tasks re-run on a replica after a kill
@@ -185,7 +186,9 @@ struct RuntimeStats : RuntimeCounters {
   uint64_t peak_rss_bytes = 0;
 
   /// Adds a row-major M x M link matrix into link_bytes, element by element.
-  /// Entries past either matrix's end are ignored.
+  /// Entries past either matrix's end are ignored, so the distributed
+  /// coordinator rejects a worker's matrix of the wrong shape before it gets
+  /// here (net::ValidateWorkerStats).
   void AddLinkBytes(const std::vector<uint64_t>& other) {
     for (size_t i = 0; i < other.size() && i < link_bytes.size(); ++i) {
       link_bytes[i] += other[i];

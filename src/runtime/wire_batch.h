@@ -21,6 +21,7 @@
 #include "common/logging.h"
 #include "common/status.h"
 #include "graph/types.h"
+#include "obs/telemetry.h"
 #include "propagation/app_traits.h"
 #include "runtime/stats.h"
 
@@ -273,33 +274,13 @@ class WireBatchReader {
   Status status_;
 };
 
-/// Wire-plane counters of one staging machine, merged into RuntimeStats
-/// after the workers join.
-struct WireStagerStats {
-  uint64_t batches_sealed = 0;
-  uint64_t segments_sealed = 0;
-  uint64_t payload_bytes = 0;       ///< wire bytes across sealed batches
-  uint64_t messages_staged = 0;     ///< records serialized (post-combine)
-  uint64_t messages_combined = 0;   ///< duplicates folded at seal time
-  uint64_t flush_size = 0;
-  uint64_t flush_deadline = 0;
-  uint64_t flush_stage_end = 0;
-  Histogram batch_fill;             ///< payload/max_batch_bytes at each seal
+/// Wire-plane tallies of one staging machine. The stager counts straight
+/// into the RuntimeCounters wire fields it feeds (wire_batches_sent through
+/// wire_flush_stage_end) and leaves the rest at zero, so an engine folds it
+/// in with `+=`; only the batch-fill histogram is its own.
+struct WireStagerStats : RuntimeCounters {
+  Histogram batch_fill;  ///< payload/max_batch_bytes at each seal
 };
-
-/// Adds one stager's counters and batch-fill histogram into an engine's
-/// RuntimeStats.
-inline void AddWireStagerStats(const WireStagerStats& ws,
-                               RuntimeStats& totals) {
-  totals.wire_batches_sent += ws.batches_sealed;
-  totals.wire_segments_sent += ws.segments_sealed;
-  totals.wire_payload_bytes += ws.payload_bytes;
-  totals.wire_messages_combined += ws.messages_combined;
-  totals.wire_flush_size += ws.flush_size;
-  totals.wire_flush_deadline += ws.flush_deadline;
-  totals.wire_flush_stage_end += ws.flush_stage_end;
-  totals.batch_fill.Merge(ws.batch_fill);
-}
 
 /// Serializes one machine's outbound message streams into pooled WireBatch
 /// payloads, one open batch per destination machine. Accessed only by the
@@ -386,7 +367,7 @@ class WireStager {
       if (open.active &&
           std::chrono::duration<double>(now - open.opened).count() >=
               options_.flush_deadline_seconds) {
-        ++stats_.flush_deadline;
+        ++stats_.wire_flush_deadline;
         blocked_s += Seal(open, send);
       }
     }
@@ -400,7 +381,7 @@ class WireStager {
     double blocked_s = 0.0;
     for (OpenBatch& open : open_) {
       if (open.active) {
-        ++stats_.flush_stage_end;
+        ++stats_.wire_flush_stage_end;
         blocked_s += Seal(open, send);
       }
     }
@@ -452,7 +433,7 @@ class WireStager {
       } else {
         Message& acc = records[slot].second;
         acc = app_->Merge(acc, records[i].second);
-        ++stats_.messages_combined;
+        ++stats_.wire_messages_combined;
       }
     }
     records.erase(records.begin() + static_cast<std::ptrdiff_t>(kept),
@@ -516,7 +497,7 @@ class WireStager {
     if (open.active && !open.batch.payload.empty() &&
         open.batch.payload.size() + sizeof(WireSegmentHeader) + kRecordBytes >
             options_.max_batch_bytes) {
-      ++stats_.flush_size;
+      ++stats_.wire_flush_size;
       blocked_s += Seal(open, send);
     }
     if (!open.active) {
@@ -553,7 +534,7 @@ class WireStager {
       // (src, dst) stream in a fresh segment. Records were combined and
       // priced for the whole task above, so chunking cannot change the cost
       // model's byte count.
-      ++stats_.flush_size;
+      ++stats_.wire_flush_size;
       blocked_s += Seal(open, send);
       Open(open, dst_machine);
     }
@@ -580,8 +561,7 @@ class WireStager {
     batch.num_segments += 1;
     batch.num_messages += count;
     batch.priced_bytes += priced;
-    ++stats_.segments_sealed;
-    stats_.messages_staged += count;
+    ++stats_.wire_segments_sent;
   }
 
   void Open(OpenBatch& open, MachineId dst_machine) {
@@ -595,8 +575,8 @@ class WireStager {
 
   template <typename SendFn>
   double Seal(OpenBatch& open, SendFn&& send) {
-    ++stats_.batches_sealed;
-    stats_.payload_bytes += open.batch.payload.size();
+    ++stats_.wire_batches_sent;
+    stats_.wire_payload_bytes += open.batch.payload.size();
     stats_.batch_fill.Add(static_cast<double>(open.batch.payload.size()) /
                           static_cast<double>(options_.max_batch_bytes));
     open.active = false;
@@ -615,6 +595,27 @@ class WireStager {
   std::vector<OpenBatch> open_;
   WireStagerStats stats_;
 };
+
+/// The end-of-run readings both real engines take the same way: every
+/// stager's wire counters and batch fill, the pool's acquire and reuse
+/// counts, the flight recorder's tallies and the process memory.
+template <typename Stagers>
+void ReadEndOfRunStats(const Stagers& stagers, const WireBufferPool& pool,
+                       const obs::TelemetryRecorder& telemetry,
+                       RuntimeStats& stats) {
+  for (const auto& stager : stagers) {
+    stats += stager.stats();
+    stats.batch_fill.Merge(stager.stats().batch_fill);
+  }
+  const WireBufferPool::Stats buffers = pool.stats();
+  stats.pool_buffers_acquired = buffers.acquires;
+  stats.pool_buffers_reused = buffers.reuses;
+  stats.telemetry_samples = telemetry.samples_taken();
+  stats.telemetry_samples_dropped = telemetry.total_dropped();
+  const obs::MemoryUsage memory = obs::ReadMemoryUsage();
+  stats.rss_bytes = memory.rss_bytes;
+  stats.peak_rss_bytes = memory.peak_rss_bytes;
+}
 
 }  // namespace runtime
 }  // namespace surfer

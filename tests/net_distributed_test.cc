@@ -22,6 +22,8 @@
 #include "apps/network_ranking.h"
 #include "core/engine.h"
 #include "obs/json.h"
+#include "obs/metrics_registry.h"
+#include "obs/run_report.h"
 #include "obs/trace_merge.h"
 #include "propagation/config.h"
 #include "propagation/runner.h"
@@ -519,6 +521,10 @@ TEST(NetDistributedTest, RuntimeStatsMatchTheThreadedEngine) {
   for (const std::string& text : dist.worker_reports()) {
     auto report = obs::ParseJson(text);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
+    // Worker reports carry their link matrix as `links` rows and pass the
+    // same schema as the threaded engine's reports.
+    const Status valid = obs::ValidateRunReport(*report);
+    EXPECT_TRUE(valid.ok()) << valid.ToString();
     const obs::JsonValue* runtime = report->Find("runtime");
     ASSERT_NE(runtime, nullptr);
     const obs::JsonValue* samples = runtime->Find("telemetry_samples");
@@ -527,6 +533,33 @@ TEST(NetDistributedTest, RuntimeStatsMatchTheThreadedEngine) {
   }
   EXPECT_GT(dist.stats().telemetry_samples, 0u);
   EXPECT_EQ(dist.stats().telemetry_samples, reported_samples);
+}
+
+// The distributed engine exports its merged stats into the metrics hook
+// through the same list-driven export as the threaded engine.
+TEST(NetDistributedTest, MergedStatsReachTheMetricsRegistry) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  obs::MetricsRegistry registry;
+  EngineOptions options;
+  options.engine = EngineKind::kDistributed;
+  options.propagation = ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+  options.propagation.metrics = &registry;
+  options.distributed.max_processes = 3;
+  auto result =
+      RunViaEngine(setup, NetworkRankingApp(f.graph.num_vertices()), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->runtime_stats.has_value());
+  const runtime::RuntimeStats& stats = *result->runtime_stats;
+
+  EXPECT_GT(stats.messages_sent, 0u);
+  EXPECT_EQ(registry.CounterRef("runtime_messages_sent").value(),
+            stats.messages_sent);
+  EXPECT_EQ(registry.CounterRef("runtime_tcp_bytes_sent").value(),
+            stats.tcp_bytes_sent);
+  EXPECT_EQ(registry.CounterRef("runtime_network_bytes").value(),
+            stats.TotalNetworkBytes());
+  EXPECT_EQ(registry.CounterRef("runtime_runs_total").value(), 1u);
 }
 
 TEST(NetDistributedTest, ClockSyncedTracesMergeWithOffsetAlignment) {

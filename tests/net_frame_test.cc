@@ -396,6 +396,66 @@ TEST(NetControlTest, ValidateRoundRejectsOutOfRangeMachine) {
   }
 }
 
+/// Well-formed stats from process 0 of 3 on 2 machines, with clock sync on.
+WorkerStatsMsg ValidWorkerStats() {
+  WorkerStatsMsg msg;
+  msg.link_bytes = {0, 96, 48, 0};
+  msg.clock_synced = 1;
+  msg.clock_offset_us = {0, 12, -7};
+  msg.clock_uncertainty_us = {0, 3, 4};
+  RoundLinkStat link;
+  link.from_proc = 2;
+  msg.round_link_stats = {link};
+  return msg;
+}
+
+void ExpectWorkerStatsRejected(const WorkerStatsMsg& msg) {
+  const Status status = ValidateWorkerStats(msg, /*num_machines=*/2,
+                                            /*num_processes=*/3);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+}
+
+TEST(NetControlTest, ValidateWorkerStatsAcceptsWellFormedStats) {
+  EXPECT_TRUE(ValidateWorkerStats(ValidWorkerStats(), 2, 3).ok());
+  // Without clock sync the clock vectors may be empty.
+  WorkerStatsMsg unsynced = ValidWorkerStats();
+  unsynced.clock_synced = 0;
+  unsynced.clock_offset_us.clear();
+  unsynced.clock_uncertainty_us.clear();
+  EXPECT_TRUE(ValidateWorkerStats(unsynced, 2, 3).ok());
+}
+
+TEST(NetControlTest, ValidateWorkerStatsRejectsWrongLinkMatrixSize) {
+  WorkerStatsMsg msg = ValidWorkerStats();
+  msg.link_bytes.push_back(5);  // would spill past the merged 2 x 2 matrix
+  ExpectWorkerStatsRejected(msg);
+  msg.link_bytes.resize(3);
+  ExpectWorkerStatsRejected(msg);
+  msg.link_bytes.clear();
+  ExpectWorkerStatsRejected(msg);
+}
+
+TEST(NetControlTest, ValidateWorkerStatsRejectsWrongClockVectorLength) {
+  WorkerStatsMsg msg = ValidWorkerStats();
+  msg.clock_offset_us.pop_back();
+  ExpectWorkerStatsRejected(msg);
+  msg = ValidWorkerStats();
+  msg.clock_uncertainty_us.push_back(1);
+  ExpectWorkerStatsRejected(msg);
+}
+
+TEST(NetControlTest, ValidateWorkerStatsRejectsRoundLinkFromUnknownProcess) {
+  WorkerStatsMsg msg = ValidWorkerStats();
+  msg.round_link_stats[0].from_proc = 3;  // one past the last process
+  ExpectWorkerStatsRejected(msg);
+  // The same record through the codec: the decoder accepts it, the check
+  // is what stops it.
+  auto decoded = DecodeWorkerStats(EncodeWorkerStats(msg));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectWorkerStatsRejected(*decoded);
+}
+
 TEST(NetFrameTest, FramesCarryPerLinkSequenceAndSendStamp) {
   auto [a, b] = MustPair();
   ASSERT_TRUE(WriteFrame(a, FrameType::kData, Bytes({1})).ok());

@@ -1,7 +1,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -441,6 +443,101 @@ TEST(RunReportTest, ValidateRejectsMalformedRuntimeBlock) {
   bad_runtime.Set("num_workers", 4);  // missing every other required field
   report.Set("runtime", std::move(bad_runtime));
   EXPECT_FALSE(obs::ValidateRunReport(report).ok());
+}
+
+/// `block` with `key` replaced by `value` (appended when absent).
+obs::JsonValue WithField(const obs::JsonValue& block, const std::string& key,
+                         obs::JsonValue value) {
+  obs::JsonValue out = obs::JsonValue::MakeObject();
+  for (const auto& [k, v] : block.as_object()) {
+    if (k != key) {
+      out.Set(k, v);
+    }
+  }
+  out.Set(key, std::move(value));
+  return out;
+}
+
+Status ValidateRuntimeBlock(const obs::JsonValue& block) {
+  obs::RunReportOptions options;
+  options.name = "run_report_test_runtime";
+  return obs::ValidateRunReport(
+      obs::BuildRunReport(options, nullptr, nullptr, nullptr, &block));
+}
+
+TEST(RunReportTest, ValidateChecksLinkRowsScalarsAndChannelRows) {
+  runtime::RuntimeStats stats;
+  stats.num_machines = 2;
+  stats.link_bytes = {0, 96, 48, 0};
+  stats.channels.resize(4);
+  stats.channels[1].capacity = 64;
+  stats.channels[1].sends = 2;
+  stats.channels[1].receives = 2;
+  const obs::JsonValue block = runtime::RuntimeStatsToJson(stats);
+  ASSERT_TRUE(ValidateRuntimeBlock(block).ok())
+      << ValidateRuntimeBlock(block).ToString();
+  // Every nonzero link gets a row; only channels that carried traffic do.
+  ASSERT_EQ(block.Find("links")->as_array().size(), 2u);
+  ASSERT_EQ(block.Find("channels")->as_array().size(), 1u);
+
+  obs::JsonValue link = obs::JsonValue::MakeObject();
+  link.Set("src", 0);
+  link.Set("dst", 1);
+  obs::JsonValue links = obs::JsonValue::MakeArray();
+  links.Append(link);
+  EXPECT_FALSE(ValidateRuntimeBlock(WithField(block, "links", links)).ok());
+
+  // A key outside the v1 required list, so only the scalar rule catches it.
+  EXPECT_FALSE(
+      ValidateRuntimeBlock(WithField(block, "wire_batches_sent", "12")).ok());
+
+  obs::JsonValue channel = obs::JsonValue::MakeObject();
+  for (const auto& [key, value] :
+       block.Find("channels")->as_array()[0].as_object()) {
+    if (key != "capacity") {
+      channel.Set(key, value);
+    }
+  }
+  obs::JsonValue channels = obs::JsonValue::MakeArray();
+  channels.Append(std::move(channel));
+  EXPECT_FALSE(
+      ValidateRuntimeBlock(WithField(block, "channels", channels)).ok());
+}
+
+// Driven by RuntimeCounters::ForEachCounter alone, so a counter added to the
+// list is covered here without editing the test: each counter gets a
+// distinct value and reaches the registry as runtime_<key>, a counter when
+// it is a uint64_t and a gauge when it is a double.
+TEST(RunReportTest, ExportRuntimeStatsExportsEveryListedCounter) {
+  runtime::RuntimeStats stats;
+  double next = 1.0;
+  runtime::RuntimeCounters::ForEachCounter([&](const char*, auto member) {
+    using Field = std::remove_reference_t<decltype(stats.*member)>;
+    stats.*member = static_cast<Field>(next);
+    next += 1.0;
+  });
+  obs::MetricsRegistry registry;
+  runtime::ExportRuntimeStats(stats, &registry);
+  runtime::ExportRuntimeStats(stats, nullptr);  // no registry: a no-op
+
+  std::map<std::string, obs::MetricSample> series;
+  for (obs::MetricSample& sample : registry.Snapshot()) {
+    const std::string name = sample.name;
+    EXPECT_TRUE(series.emplace(name, std::move(sample)).second)
+        << name << " exported twice";
+  }
+  runtime::RuntimeCounters::ForEachCounter([&](const char* name,
+                                               auto member) {
+    const auto it = series.find(std::string("runtime_") + name);
+    ASSERT_NE(it, series.end()) << name;
+    constexpr bool kGauge =
+        std::is_same_v<decltype(member), double runtime::RuntimeCounters::*>;
+    EXPECT_EQ(it->second.kind, kGauge ? obs::MetricSample::Kind::kGauge
+                                      : obs::MetricSample::Kind::kCounter)
+        << name;
+    EXPECT_EQ(it->second.value, static_cast<double>(stats.*member)) << name;
+  });
+  EXPECT_EQ(series.at("runtime_runs_total").value, 1.0);
 }
 
 // -------------------------------------- counters vs. optimization levels

@@ -245,6 +245,29 @@ TEST(BenchGateTest, DropCountersNoteByDefaultFailWhenStrict) {
   EXPECT_TRUE(CheckBenchBaseline(current, baseline, strict).ok);
 }
 
+// A document without points is a run report: check gates its schema (here
+// a link row without bytes) and its top-level drop counters.
+TEST(BenchGateTest, ReportArtifactsMustPassTheRunReportSchema) {
+  JsonValue report = ParseOrDie(R"({
+    "schema_version": 3, "name": "surfer_dist_worker_0",
+    "runtime": {"num_workers": 1, "num_machines": 2, "iterations": 1,
+      "tasks_executed": 4, "tasks_reexecuted": 0, "machine_failures": 0,
+      "messages_sent": 9, "buffers_sent": 2, "send_stalls": 0,
+      "barrier_wait_seconds": 0.5, "barrier_generations": 4,
+      "wall_seconds": 1.0, "network_bytes": 96,
+      "channel_depth": {"count": 0}, "barrier_wait": {"count": 0},
+      "links": [{"src": 0, "dst": 1, "bytes": 96}], "channels": []}})");
+  EXPECT_TRUE(CheckBenchBaseline(report, report).ok);
+
+  JsonValue* runtime = FindMutable(report, "runtime");
+  JsonValue* link = &FindMutable(*runtime, "links")->as_array()[0];
+  link->as_object().pop_back();  // drop "bytes"
+  const BenchCheckResult result = CheckBenchBaseline(report, report);
+  EXPECT_FALSE(result.ok);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_NE(result.failures[0].find("bytes"), std::string::npos);
+}
+
 TEST(BenchGateTest, PeakRssGatedWithHostAwareTolerance) {
   JsonValue baseline = MakeBaselineDoc();
   JsonValue* base_points = FindMutable(baseline, "points");

@@ -102,8 +102,8 @@ TEST(WireBatchTest, EmptyTaskSealsNothing) {
   stager.StageTask(0, 1, /*dst_machine=*/1, real, virtuals, h.Sender());
   stager.FlushAll(h.Sender());
   EXPECT_TRUE(h.sent.empty());
-  EXPECT_EQ(stager.stats().batches_sealed, 0u);
-  EXPECT_EQ(stager.stats().segments_sealed, 0u);
+  EXPECT_EQ(stager.stats().wire_batches_sent, 0u);
+  EXPECT_EQ(stager.stats().wire_segments_sent, 0u);
 }
 
 TEST(WireBatchTest, SingleMessageRoundTrip) {
@@ -199,8 +199,8 @@ TEST(WireBatchTest, FullBatchChunksStreamAcrossBatchesLosslessly) {
       priced.push_back(batch.priced_bytes);
     }
     EXPECT_EQ(priced, c.batch_priced);
-    EXPECT_EQ(stager.stats().flush_size, c.flush_size);
-    EXPECT_EQ(stager.stats().flush_stage_end, 1u);
+    EXPECT_EQ(stager.stats().wire_flush_size, c.flush_size);
+    EXPECT_EQ(stager.stats().wire_flush_stage_end, 1u);
     auto [got_real, got_virtual] = h.Decode();
     EXPECT_EQ(got_real, expected);
     EXPECT_TRUE(got_virtual.empty());
@@ -217,7 +217,8 @@ TEST(WireBatchTest, StageTaskMergesDuplicateTargetsBeforePricing) {
   stager.StageTask(0, 1, /*dst_machine=*/1, real, virtuals, h.Sender());
   stager.FlushAll(h.Sender());
 
-  EXPECT_EQ(stager.stats().messages_combined, 3u);  // two real + one virtual
+  // Two real duplicates and one virtual one.
+  EXPECT_EQ(stager.stats().wire_messages_combined, 3u);
   ASSERT_EQ(h.sent.size(), 1u);
   // 4 + 2 records collapse to 2 + 1; only post-merge records are priced.
   EXPECT_EQ(h.sent[0].num_messages, 3u);
@@ -235,7 +236,7 @@ TEST(WireBatchTest, CombineOffKeepsEveryRecord) {
   Virtual virtuals;
   stager.StageTask(0, 1, /*dst_machine=*/1, real, virtuals, h.Sender());
   stager.FlushAll(h.Sender());
-  EXPECT_EQ(stager.stats().messages_combined, 0u);
+  EXPECT_EQ(stager.stats().wire_messages_combined, 0u);
   auto [got_real, got_virtual] = h.Decode();
   EXPECT_EQ(got_real, (Real{{105u, 1u}, {105u, 2u}, {105u, 4u}}));
 }
@@ -313,7 +314,7 @@ TEST(WireBatchTest, MergeFoldsInEmissionOrderAndResetsSlotsBetweenStreams) {
                      send);
     combined += stream.emitted.size() - stream.merged.size() +
                 stream.virtual_emitted.size() - stream.virtual_merged.size();
-    EXPECT_EQ(stager.stats().messages_combined, combined);
+    EXPECT_EQ(stager.stats().wire_messages_combined, combined);
   }
   stager.FlushAll(send);
 
@@ -357,8 +358,8 @@ TEST(WireBatchTest, DeadlineFlushShipsIdleBatches) {
   EXPECT_TRUE(h.sent.empty());  // still open after the task
   stager.FlushExpired(h.Sender());
   EXPECT_EQ(h.sent.size(), 1u);
-  EXPECT_EQ(stager.stats().flush_deadline, 1u);
-  EXPECT_EQ(stager.stats().flush_stage_end, 0u);
+  EXPECT_EQ(stager.stats().wire_flush_deadline, 1u);
+  EXPECT_EQ(stager.stats().wire_flush_stage_end, 0u);
   stager.FlushExpired(h.Sender());  // nothing left open
   EXPECT_EQ(h.sent.size(), 1u);
 }
@@ -374,8 +375,8 @@ TEST(WireBatchTest, StageEndFlushSealsEveryOpenDestination) {
   EXPECT_TRUE(h.sent.empty());
   stager.FlushAll(h.Sender());
   EXPECT_EQ(h.sent.size(), 3u);
-  EXPECT_EQ(stager.stats().flush_stage_end, 3u);
-  EXPECT_EQ(stager.stats().batches_sealed, 3u);
+  EXPECT_EQ(stager.stats().wire_flush_stage_end, 3u);
+  EXPECT_EQ(stager.stats().wire_batches_sent, 3u);
 }
 
 // ------------------------------------------------------ hostile input

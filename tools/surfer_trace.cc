@@ -11,9 +11,12 @@
 //                      [--tolerance <frac>] [--strict-drops]
 //       Gates a BENCH_*.json against a committed baseline: exits nonzero on
 //       a perf regression or a broken bit-identity/byte-count invariant.
-//       Nonzero drop counters (trace events, telemetry samples) warn by
-//       default and fail under --strict-drops. Without --baseline the
-//       file's own basename in the current directory is used, so
+//       A file with no `points` array on either side is a run report (a
+//       bench's, a distributed worker's or the merged cluster report): it
+//       must pass the run-report schema (obs::ValidateRunReport). Nonzero
+//       drop counters (trace events, telemetry samples) warn by default and
+//       fail under --strict-drops. Without --baseline the file's own
+//       basename in the current directory is used, so
 //       `surfer_trace check BENCH_partition.json` from the repo root
 //       self-checks the committed baseline (a smoke test that the gate and
 //       the baseline agree).
@@ -56,6 +59,8 @@ int Usage() {
                "       surfer_trace diff <before.json> <after.json>\n"
                "       surfer_trace check <current.json> [--baseline <path>]"
                " [--tolerance <frac>] [--strict-drops]\n"
+               "           (a file without 'points' is checked as a run"
+               " report: schema + drop counters)\n"
                "       surfer_trace merge -o <merged.json> <trace.json>"
                " [<trace.json> ...]\n"
                "       surfer_trace telemetry <run_report.json>\n");
