@@ -190,6 +190,23 @@ Result<RunAppResult<App>> RunAnalytic(const PartitionedGraph* graph,
   return result;
 }
 
+/// Folds a real engine's measured link matrix into the unified M x M
+/// network-byte matrix: the runtime's diagonal carries local (non-network)
+/// traffic, so only off-diagonal entries are reported.
+inline std::vector<double> NetworkLinkBytes(const runtime::RuntimeStats& stats,
+                                            uint32_t n) {
+  std::vector<double> bytes(static_cast<size_t>(n) * n, 0.0);
+  for (uint32_t src = 0; src < n; ++src) {
+    for (uint32_t dst = 0; dst < n; ++dst) {
+      const size_t i = static_cast<size_t>(src) * n + dst;
+      if (src != dst && i < stats.link_bytes.size()) {
+        bytes[i] = static_cast<double>(stats.link_bytes[i]);
+      }
+    }
+  }
+  return bytes;
+}
+
 template <typename App>
 Result<RunAppResult<App>> RunConcurrent(const PartitionedGraph* graph,
                                         const ReplicatedPlacement* placement,
@@ -207,19 +224,8 @@ Result<RunAppResult<App>> RunConcurrent(const PartitionedGraph* graph,
     if (executor.telemetry() != nullptr && executor.telemetry()->enabled()) {
       result.telemetry = executor.telemetry()->ToJson();
     }
-    const uint32_t n = topology->num_machines();
-    result.link_network_bytes.assign(static_cast<size_t>(n) * n, 0.0);
-    const std::vector<uint64_t>& measured = executor.stats().link_bytes;
-    for (uint32_t src = 0; src < n; ++src) {
-      for (uint32_t dst = 0; dst < n; ++dst) {
-        const size_t i = static_cast<size_t>(src) * n + dst;
-        // The runtime's diagonal carries local (non-network) traffic;
-        // the unified matrix only reports network bytes.
-        if (src != dst && i < measured.size()) {
-          result.link_network_bytes[i] = static_cast<double>(measured[i]);
-        }
-      }
-    }
+    result.link_network_bytes =
+        NetworkLinkBytes(executor.stats(), topology->num_machines());
     result.graph = graph;
     return result;
   } else {
@@ -251,19 +257,8 @@ Result<RunAppResult<App>> RunDistributed(const PartitionedGraph* graph,
     if (executor.cluster_report().is_object()) {
       result.cluster = executor.cluster_report();
     }
-    const uint32_t n = topology->num_machines();
-    result.link_network_bytes.assign(static_cast<size_t>(n) * n, 0.0);
-    const std::vector<uint64_t>& measured = executor.stats().link_bytes;
-    for (uint32_t src = 0; src < n; ++src) {
-      for (uint32_t dst = 0; dst < n; ++dst) {
-        const size_t i = static_cast<size_t>(src) * n + dst;
-        // Same convention as the concurrent engine: the diagonal is local
-        // traffic, the unified matrix reports network bytes only.
-        if (src != dst && i < measured.size()) {
-          result.link_network_bytes[i] = static_cast<double>(measured[i]);
-        }
-      }
-    }
+    result.link_network_bytes =
+        NetworkLinkBytes(executor.stats(), topology->num_machines());
     result.graph = graph;
     return result;
   } else {

@@ -331,32 +331,6 @@ BenchCheckResult CheckBenchBaseline(const JsonValue& current,
                    base_rss->as_number(), tolerance, &result);
       }
     }
-    // Serving-plane throughput (bench_serving): QPS is higher-is-better and
-    // gets the same host-aware tolerance as wall time.
-    if (const JsonValue* cur_qps = point.Find("qps");
-        cur_qps != nullptr && cur_qps->is_number() &&
-        cur_qps->as_number() > 0.0) {
-      if (const JsonValue* base_qps = base_point->Find("qps");
-          base_qps != nullptr && base_qps->is_number() &&
-          base_qps->as_number() > 0.0) {
-        CheckThroughput(label + ".qps", " q/s", cur_qps->as_number(),
-                        base_qps->as_number(), tolerance, &result);
-      }
-    }
-    // A cache that stopped hitting is a correctness-adjacent failure, not a
-    // timing one: the workload repeats queries by construction, so a zero
-    // hit rate against a baseline that cached means the result cache is no
-    // longer being consulted.
-    if (const JsonValue* cur_hits = point.Find("cache_hit_rate");
-        cur_hits != nullptr && cur_hits->is_number()) {
-      if (const JsonValue* base_hits = base_point->Find("cache_hit_rate");
-          base_hits != nullptr && base_hits->is_number() &&
-          base_hits->as_number() > 0.0 && cur_hits->as_number() <= 0.0) {
-        result.Fail(label + ".cache_hit_rate is 0 (baseline " +
-                    FormatNumber(base_hits->as_number()) +
-                    "): the serving result cache went cold");
-      }
-    }
     if (const JsonValue* cur_rate = point.Find("scatter_msgs_per_sec");
         cur_rate != nullptr && cur_rate->is_number() &&
         cur_rate->as_number() > 0.0) {

@@ -54,12 +54,16 @@ struct BenchCheckResult {
 ///   - mismatched benchmark `name`;
 ///   - any current point with `bit_identical` == false (correctness, never
 ///     subject to tolerance);
+///   - any current point whose `wire_segments_sent` is below 5x its
+///     `wire_batches_sent` (wire batching collapsed), or whose
+///     `scatter_speedup` is below 2;
 ///   - `network_bytes` differing where both sides record it (byte counts
 ///     are deterministic, so equality is exact);
 ///   - wall-clock fields (`sequential_wall_s`, points' `wall_s`) regressing
 ///     beyond the host-aware tolerance;
-///   - points' `peak_rss_bytes` regressing beyond the same host-aware
-///     tolerance (memory varies with allocator and host like time does);
+///   - points' `peak_rss_bytes` regressing, or `scatter_msgs_per_sec`
+///     falling, beyond the same host-aware tolerance (memory and
+///     throughput vary with allocator and host like time does);
 ///   - nonzero drop counters when options.strict_drops is set (an advisory
 ///     note otherwise).
 ///

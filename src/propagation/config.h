@@ -40,14 +40,6 @@ struct PropagationConfig {
   /// Cascaded multi-iteration propagation (Section 5.2): vertices whose
   /// k-hop neighborhood stays in the partition run k iterations per scan.
   bool cascaded = false;
-  /// Extension beyond the paper: instead of one global phase length d_min
-  /// ("for simplicity, we set the suitable number of iterations ... to be
-  /// the smallest diameter of all the partitions"), let each partition
-  /// cascade up to its *own* diameter. Results are unchanged (elision is an
-  /// I/O-accounting property); which variant elides more depends on the
-  /// level distribution — long phases favor deep interiors, short phases
-  /// re-skip shallow vertices more often.
-  bool cascade_per_partition_depth = false;
   /// Frontier gating: combine loops visit only vertices whose
   /// received-message frontier bit is set, skipping silent (converged)
   /// vertices. Takes effect only for apps that declare the

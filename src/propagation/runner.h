@@ -140,8 +140,7 @@ class PropagationRunner {
   /// True when this vertex's work in `iteration` is elided from disk
   /// accounting by cascaded propagation (its value for this iteration was
   /// already computed during an earlier scan of the phase). The phase length
-  /// is the paper's d_min, or the vertex's own partition diameter with the
-  /// per-partition-depth extension.
+  /// is the paper's d_min.
   bool CascadeSkips(VertexId v, int iteration) const {
     if (cascade_.level.empty() || iteration == 0) {
       return false;
@@ -150,10 +149,7 @@ class PropagationRunner {
     if (level == kCascadeInf) {
       return true;  // V_inf: all iterations ran in the first scan
     }
-    const uint32_t c = std::max<uint32_t>(
-        1, config_.cascade_per_partition_depth
-               ? cascade_.partition_diameter[graph_->PartitionOf(v)]
-               : cascade_.d_min);
+    const uint32_t c = cascade_.d_min;
     if (c < 2) {
       return false;
     }

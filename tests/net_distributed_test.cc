@@ -535,6 +535,27 @@ TEST(NetDistributedTest, RuntimeStatsMatchTheThreadedEngine) {
   EXPECT_EQ(dist.stats().telemetry_samples, reported_samples);
 }
 
+// Wire batching holds across processes too: with 8 partitions per machine,
+// each pooled batch coalesces at least five per-task segments, the floor the
+// bench gate puts on the threaded engine's points.
+TEST(NetDistributedTest, WireBatchesCoalesceSegmentsAcrossProcesses) {
+  const EngineFixture f = MakeEngineFixture(1 << 13, 64);
+  EngineOptions options;
+  options.engine = EngineKind::kDistributed;
+  options.propagation = ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+  options.distributed.max_processes = 3;
+  auto result = RunViaEngine(f.Setup(OptimizationLevel::kO4),
+                             NetworkRankingApp(f.graph.num_vertices()),
+                             options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const runtime::RuntimeStats& stats = *result->runtime_stats;
+  EXPECT_EQ(stats.machine_failures, 0u);
+  EXPECT_GT(stats.wire_batches_sent, 0u);
+  EXPECT_GE(stats.wire_segments_sent, 5 * stats.wire_batches_sent)
+      << stats.wire_segments_sent << " segments in "
+      << stats.wire_batches_sent << " wire batches";
+}
+
 // The distributed engine exports its merged stats into the metrics hook
 // through the same list-driven export as the threaded engine.
 TEST(NetDistributedTest, MergedStatsReachTheMetricsRegistry) {

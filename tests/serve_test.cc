@@ -2,8 +2,9 @@
 // fresh BFS over the original graph, cached ranks bit-identical to a fresh
 // batch run, cache hits returning exactly the computed bytes, deterministic
 // admission-window shedding with kResourceExhausted (never blocking),
-// deadline shedding, partition-local paths, and a concurrent-client stress
-// mix run under the TSan/ASan CI matrix.
+// deadline shedding, partition-local paths, a served run's report passing
+// the run-report schema, and a concurrent-client stress mix run under the
+// TSan/ASan CI matrix.
 
 #include <algorithm>
 #include <atomic>
@@ -17,7 +18,10 @@
 #include "apps/network_ranking.h"
 #include "core/engine.h"
 #include "graph/algorithms.h"
+#include "obs/bench_gate.h"
 #include "obs/metrics_registry.h"
+#include "obs/run_report.h"
+#include "obs/trace.h"
 #include "serve/frontier.h"
 #include "serve/graph_service.h"
 #include "serve/lru_cache.h"
@@ -362,6 +366,63 @@ TEST(GraphServiceTest, SequentialQueriesNeverMissAWakeUp) {
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(kQueries));
   EXPECT_LT(stats.latency_us.max(), 5000.0)
       << "a query sat in the queue for a whole 5 ms timed wait";
+}
+
+TEST(GraphServiceTest, ServedRunReportPassesSchemaWithoutDrops) {
+  Engine session = Session();
+  ServeOptions options;
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  options.metrics = &metrics;
+  options.tracer = &tracer;
+  auto service = session.Serve(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  // A 3:1 k-hop to rank mix over a small hot set, so the cache serves hits.
+  constexpr int kQueries = 400;
+  constexpr VertexId kHotSet = 64;
+  for (int q = 0; q < kQueries; ++q) {
+    const VertexId v = static_cast<VertexId>((q * 131) % kHotSet);
+    if (q % 4 == 0) {
+      ASSERT_TRUE((*service)->Rank(v).get().ok());
+    } else {
+      ASSERT_TRUE(
+          (*service)->KHop(v, 1 + static_cast<uint32_t>(q % 2)).get().ok());
+    }
+  }
+  // Stop joins the workers, so every query's span has been recorded.
+  (*service)->Stop();
+  const serve::ServiceStats stats = (*service)->stats();
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kQueries));
+  EXPECT_GT(stats.cache_hits, 0u);
+
+  obs::RunReportOptions report_options;
+  report_options.name = "serve_test";
+  const obs::JsonValue report =
+      obs::BuildRunReport(report_options, nullptr, &metrics, &tracer);
+  const Status schema = obs::ValidateRunReport(report);
+  ASSERT_TRUE(schema.ok()) << schema.ToString();
+
+  // No event was lost: one serve span per completed query.
+  if (obs::Tracer::CompiledIn()) {
+    uint64_t serve_spans = 0;
+    for (const obs::JsonValue& span :
+         report.Find("trace")->Find("spans")->as_array()) {
+      const std::string& name = span.Find("name")->as_string();
+      if (name == "serve_khop" || name == "serve_rank") {
+        serve_spans += static_cast<uint64_t>(span.Find("count")->as_number());
+      }
+    }
+    EXPECT_EQ(serve_spans, stats.completed);
+  }
+
+  // The gate a report artifact passes, with drops escalated to failures.
+  obs::BenchCheckOptions strict;
+  strict.strict_drops = true;
+  const obs::BenchCheckResult check =
+      obs::CheckBenchBaseline(report, report, strict);
+  EXPECT_TRUE(check.ok) << (check.failures.empty() ? std::string()
+                                                   : check.failures.front());
 }
 
 TEST(GraphServiceTest, ConcurrentClientsUnderSmallAdmissionWindow) {

@@ -209,29 +209,6 @@ void PrintCluster(const JsonValue& report) {
   }
 }
 
-/// Serving-plane table, printed when the file's points carry `qps` —
-/// BENCH_serving.json baselines summarize per client-thread point.
-void PrintServing(const JsonValue& report) {
-  const JsonValue* points = report.Find("points");
-  if (points == nullptr || !points->is_array() || points->as_array().empty() ||
-      points->as_array().front().Find("qps") == nullptr) {
-    return;
-  }
-  std::printf("\nserving sweep:\n");
-  std::printf("  %8s %12s %10s %10s %10s %8s\n", "clients", "qps", "p50 (us)",
-              "p99 (us)", "hit rate", "shed");
-  for (const JsonValue& point : points->as_array()) {
-    const double shed = NumberOr(point.Find("shed_admission"), 0) +
-                        NumberOr(point.Find("shed_deadline"), 0);
-    std::printf("  %8.0f %12.0f %10.0f %10.0f %9.1f%% %8.0f\n",
-                NumberOr(point.Find("threads"), 0),
-                NumberOr(point.Find("qps"), 0),
-                NumberOr(point.Find("p50_us"), 0),
-                NumberOr(point.Find("p99_us"), 0),
-                NumberOr(point.Find("cache_hit_rate"), 0) * 100.0, shed);
-  }
-}
-
 int RunSummary(const std::string& path) {
   JsonValue report;
   if (!LoadJson(path, &report)) {
@@ -278,7 +255,6 @@ int RunSummary(const std::string& path) {
           NumberOr(runtime->Find("frontier_vertices_skipped"), 0));
     }
   }
-  PrintServing(report);
   PrintSpans(report);
   PrintTimeline(report);
   PrintCluster(report);
