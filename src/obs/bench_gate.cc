@@ -111,23 +111,54 @@ void CheckThroughput(const std::string& what, const char* unit, double current,
   }
 }
 
-/// Nonzero observability drop counters: the recording is partial (rings
+constexpr const char* kDropKeys[] = {"trace_events_dropped",
+                                     "telemetry_samples_dropped"};
+
+/// A nonzero observability drop counter: the recording is partial (rings
 /// overwrote or overflowed), never that the run misbehaved. Advisory unless
 /// strict, where CI treats an undersized ring as a configuration bug.
+void CheckDrop(const std::string& what_counter, double dropped, bool strict,
+               BenchCheckResult* result) {
+  if (dropped <= 0.0) {
+    return;
+  }
+  const std::string what = what_counter + " is " + FormatNumber(dropped) +
+                           ": the recorded window is incomplete";
+  if (strict) {
+    result->Fail(what + " (strict drops)");
+  } else {
+    result->Note(what);
+  }
+}
+
 void CheckDrops(const std::string& label, const JsonValue& point, bool strict,
                 BenchCheckResult* result) {
-  for (const char* key : {"trace_events_dropped", "telemetry_samples_dropped"}) {
-    const double dropped = NumberOr(point.Find(key), 0.0);
-    if (dropped <= 0.0) {
+  for (const char* key : kDropKeys) {
+    CheckDrop(label + "." + key, NumberOr(point.Find(key), 0.0), strict,
+              result);
+  }
+}
+
+/// A run report's drop counters live in its metrics registry, named
+/// `<plane>_trace_events_dropped` and the like (runtime_, serve_).
+void CheckRegistryDrops(const JsonValue& report, bool strict,
+                        BenchCheckResult* result) {
+  const JsonValue* metrics = report.Find("metrics");
+  const JsonValue* counters =
+      metrics != nullptr ? metrics->Find("counters") : nullptr;
+  if (counters == nullptr || !counters->is_array()) {
+    return;
+  }
+  for (const JsonValue& counter : counters->as_array()) {
+    const JsonValue* name = counter.Find("name");
+    if (name == nullptr || !name->is_string()) {
       continue;
     }
-    const std::string what = label + "." + key + " is " +
-                             FormatNumber(dropped) +
-                             ": the recorded window is incomplete";
-    if (strict) {
-      result->Fail(what + " (strict drops)");
-    } else {
-      result->Note(what);
+    for (const char* key : kDropKeys) {
+      if (name->as_string().ends_with(key)) {
+        CheckDrop("report.metrics." + name->as_string(),
+                  NumberOr(counter.Find("value"), 0.0), strict, result);
+      }
     }
   }
 }
@@ -187,15 +218,16 @@ BenchCheckResult CheckBenchBaseline(const JsonValue& current,
   if (current_points == nullptr || !current_points->is_array()) {
     // A pointless file on both sides is a run-report artifact (a bench's
     // report, a distributed worker's or the merged cluster report), not a
-    // bench baseline: it must pass the run-report schema, and its top-level
-    // drop counters are gated. A missing points array against a baseline
-    // that *has* one stays a hard failure.
+    // bench baseline: it must pass the run-report schema, and its drop
+    // counters, top-level or in its metrics registry, are gated. A missing
+    // points array against a baseline that *has* one stays a hard failure.
     if (baseline.Find("points") == nullptr ||
         !baseline.Find("points")->is_array()) {
       if (const Status schema = ValidateRunReport(current); !schema.ok()) {
         result.Fail(schema.message());
       }
       CheckDrops("report", current, options.strict_drops, &result);
+      CheckRegistryDrops(current, options.strict_drops, &result);
       result.Note("no 'points' array on either side; gated as a run report "
                   "(schema and drop counters)");
       return result;

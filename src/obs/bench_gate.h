@@ -65,7 +65,8 @@ struct BenchCheckResult {
 ///     falling, beyond the same host-aware tolerance (memory and
 ///     throughput vary with allocator and host like time does);
 ///   - nonzero drop counters when options.strict_drops is set (an advisory
-///     note otherwise).
+///     note otherwise); a run report's also include the registry counters
+///     named `*_trace_events_dropped` / `*_telemetry_samples_dropped`.
 ///
 /// Timing comparisons are skipped (with a note) when the two files describe
 /// different workloads — different smoke flags or any differing numeric

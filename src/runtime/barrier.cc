@@ -10,23 +10,6 @@
 namespace surfer {
 namespace runtime {
 
-namespace {
-
-/// Generation checks between two poll-and-yield steps of a spinning waiter.
-constexpr uint32_t kSpinChecksPerYield = 16;
-
-/// Tells the core this is a spin-wait loop (frees pipeline resources for a
-/// sibling hyperthread); a plain no-op where the ISA has no such hint.
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#endif
-}
-
-}  // namespace
-
 BspBarrier::BspBarrier(uint32_t participants) : participants_(participants) {}
 
 uint32_t BspBarrier::HostThreads() {
@@ -84,24 +67,8 @@ double BspBarrier::ArriveAndWait(const std::function<void()>& poll,
   };
   if (spin) {
     lock.unlock();
-    const auto deadline = start + kSpinBudget;
-    for (uint32_t check = 1;; ++check) {
-      if (released()) {
-        return finish(spun_);
-      }
-      if (check % kSpinChecksPerYield != 0) {
-        CpuRelax();
-        continue;
-      }
-      if (poll) {
-        poll();
-      }
-      // Yielding keeps a straggler sharing this CPU moving; a pause-only
-      // spin measured bimodal stage times.
-      std::this_thread::yield();
-      if (std::chrono::steady_clock::now() >= deadline) {
-        break;
-      }
+    if (SpinUntil(released, start + kSpinBudget, poll)) {
+      return finish(spun_);
     }
     lock.lock();
   }

@@ -7,9 +7,53 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <thread>
 
 namespace surfer {
 namespace runtime {
+
+/// Checks between two poll-and-yield steps of a spinning waiter.
+inline constexpr uint32_t kSpinChecksPerYield = 16;
+
+/// Tells the core this is a spin-wait loop (frees pipeline resources for a
+/// sibling hyperthread); a plain no-op where the ISA has no such hint.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// The runtime's one spin-wait: re-evaluates `done` with a CPU pause
+/// between checks and, every kSpinChecksPerYield checks, runs `poll` (when
+/// set) and yields the CPU; it gives up at the first yield step at or past
+/// `deadline`. Returns whether `done` became true. BspBarrier's waiters and
+/// the serving plane's idle workers (serve/graph_service.h) both spin
+/// through it, and both decide whether to spin at all with
+/// BspBarrier::SpinFits. A template so the check inlines into the loop.
+template <typename Done>
+bool SpinUntil(const Done& done, std::chrono::steady_clock::time_point deadline,
+               const std::function<void()>& poll = {}) {
+  for (uint32_t check = 1;; ++check) {
+    if (done()) {
+      return true;
+    }
+    if (check % kSpinChecksPerYield != 0) {
+      CpuRelax();
+      continue;
+    }
+    if (poll) {
+      poll();
+    }
+    // Yielding keeps a straggler sharing this CPU moving; a pause-only
+    // spin measured bimodal stage times.
+    std::this_thread::yield();
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+  }
+}
 
 /// Reusable BSP barrier with dynamic membership.
 ///

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "core/engine.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "obs/trace_shard.h"
+#include "runtime/barrier.h"
 #include "runtime/channel.h"
 #include "serve/frontier.h"
 #include "serve/lru_cache.h"
@@ -58,7 +61,8 @@ struct ServeOptions {
   std::chrono::milliseconds default_deadline{250};
   /// Optional serve_* metrics export (counters, latency histogram).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional per-query spans ("serve" category).
+  /// Optional per-query spans ("serve" category). Workers record them into
+  /// bounded per-worker shards, which Stop flushes here.
   obs::Tracer* tracer = nullptr;
 
   Status Validate() const {
@@ -123,8 +127,17 @@ struct ServiceStats {
   uint64_t rejected = 0;         ///< failed submit-side validation
   uint64_t shed_admission = 0;   ///< admission window full at submit
   uint64_t shed_deadline = 0;    ///< dequeued after the deadline passed
+  uint64_t unavailable = 0;      ///< resolved kUnavailable by Stop
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
+  /// Worker claims of a published query by how the worker got it, mirroring
+  /// runtime::BspBarrier::WaitCounts: found on arrival, found while
+  /// spinning, or found after registering to park (or never spun).
+  uint64_t claims_immediate = 0;
+  uint64_t claims_spun = 0;
+  uint64_t claims_parked = 0;
+  /// Serve spans lost because the recording worker's trace shard was full.
+  uint64_t trace_events_dropped = 0;
   Histogram latency_us;          ///< submit-to-answer, accepted queries
 };
 
@@ -145,6 +158,15 @@ struct ServiceStats {
 /// client threads concurrently; results arrive through std::future. A full
 /// admission window NEVER blocks the caller — the future resolves
 /// immediately with kResourceExhausted.
+///
+/// Hand-off: a query carries one promise, of its own kind. Submit enqueues
+/// it and bumps an atomic count of published queries; a worker claims one
+/// with a CAS decrement. An idle worker spins for
+/// runtime::BspBarrier::kSpinBudget before it parks, when the workers and
+/// one client fit the host (BspBarrier::SpinFits), so while queries keep
+/// coming Submit makes no syscall and takes no lock. Each worker records
+/// its latencies and spans into state of its own, merged by stats() and
+/// flushed by Stop.
 class GraphService {
  public:
   /// One admission-queue entry. Public only because Task::Kind appears in
@@ -158,9 +180,11 @@ class GraphService {
     bool bypass_cache = false;
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline;
-    std::promise<Result<KHopResponse>> khop_promise;
-    std::promise<Result<PathResponse>> path_promise;
-    std::promise<Result<RankResponse>> rank_promise;
+    /// Only the promise of `kind` is engaged.
+    std::variant<std::monostate, std::promise<Result<KHopResponse>>,
+                 std::promise<Result<PathResponse>>,
+                 std::promise<Result<RankResponse>>>
+        promise;
   };
 
   /// Opens the service over a partitioned graph and its precomputed rank
@@ -203,12 +227,14 @@ class GraphService {
       return;
     }
     for (uint32_t w = 0; w < options_.num_workers; ++w) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      workers_.emplace_back([this, w] { WorkerLoop(*worker_state_[w]); });
     }
   }
 
-  /// Joins the workers and resolves every still-queued query with
-  /// kUnavailable. Idempotent; the destructor calls it.
+  /// Lets the workers drain what is published, joins them, flushes their
+  /// serve spans into ServeOptions::tracer and resolves every query still
+  /// queued, or submitted afterwards, with kUnavailable. Idempotent; the
+  /// destructor calls it.
   void Stop() {
     {
       std::lock_guard<std::mutex> lock(lifecycle_mu_);
@@ -218,28 +244,34 @@ class GraphService {
       stopped_ = true;
     }
     {
+      // Under wake_mu_, so a worker between its last check and its wait
+      // cannot miss it.
       std::lock_guard<std::mutex> lock(wake_mu_);
-      stop_ = true;
+      stop_.store(true);
     }
     wake_cv_.notify_all();
     for (std::thread& worker : workers_) {
       worker.join();
     }
     workers_.clear();
-    while (auto task = queue_.TryRecv()) {
-      Resolve(**task, Status::Unavailable("GraphService stopped"));
+    if (sharded_ != nullptr) {
+      sharded_->Flush();
     }
+    // closed_ and a submitter's published_ form the same kind of pair as
+    // Park's: a query published after this drain's last claim attempt is
+    // one whose submitter sees closed_ and resolves it itself.
+    closed_.store(true);
+    ResolveUnclaimed();
   }
 
   /// All vertices within k hops of `origin` (an original vertex ID).
   std::future<Result<KHopResponse>> KHop(VertexId origin, uint32_t k,
                                          QueryOptions query = {}) {
-    auto task = std::make_unique<Task>();
-    task->kind = Task::Kind::kKHop;
+    auto task = NewTask<KHopResponse>(Task::Kind::kKHop);
     task->k = k;
     task->bypass_cache = query.bypass_cache;
     std::future<Result<KHopResponse>> future =
-        task->khop_promise.get_future();
+        PromiseOf<KHopResponse>(*task).get_future();
     if (k == 0 || k > options_.max_khop) {
       Reject(*task, Status::InvalidArgument(
                         "k must be in [1, " +
@@ -256,11 +288,10 @@ class GraphService {
   /// unreachable dst fails with kNotFound.
   std::future<Result<PathResponse>> PartitionPath(VertexId src, VertexId dst,
                                                   QueryOptions query = {}) {
-    auto task = std::make_unique<Task>();
-    task->kind = Task::Kind::kPath;
+    auto task = NewTask<PathResponse>(Task::Kind::kPath);
     task->bypass_cache = query.bypass_cache;
     std::future<Result<PathResponse>> future =
-        task->path_promise.get_future();
+        PromiseOf<PathResponse>(*task).get_future();
     Submit(std::move(task), src, dst, query);
     return future;
   }
@@ -268,10 +299,9 @@ class GraphService {
   /// The vertex's precomputed NetworkRanking score.
   std::future<Result<RankResponse>> Rank(VertexId vertex,
                                          QueryOptions query = {}) {
-    auto task = std::make_unique<Task>();
-    task->kind = Task::Kind::kRank;
+    auto task = NewTask<RankResponse>(Task::Kind::kRank);
     std::future<Result<RankResponse>> future =
-        task->rank_promise.get_future();
+        PromiseOf<RankResponse>(*task).get_future();
     Submit(std::move(task), vertex, /*b=*/std::nullopt, query);
     return future;
   }
@@ -283,11 +313,19 @@ class GraphService {
     s.rejected = rejected_.load(std::memory_order_relaxed);
     s.shed_admission = shed_admission_.load(std::memory_order_relaxed);
     s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
+    s.unavailable = unavailable_.load(std::memory_order_relaxed);
     s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
     s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(latency_mu_);
-      s.latency_us = latency_us_;
+    for (const auto& worker : worker_state_) {
+      s.claims_immediate +=
+          worker->claims_immediate.load(std::memory_order_relaxed);
+      s.claims_spun += worker->claims_spun.load(std::memory_order_relaxed);
+      s.claims_parked += worker->claims_parked.load(std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(worker->mu);
+      s.latency_us.Merge(worker->latency_us);
+    }
+    if (sharded_ != nullptr) {
+      s.trace_events_dropped = sharded_->total_dropped();
     }
     return s;
   }
@@ -314,6 +352,19 @@ class GraphService {
     LruCache<CacheKey, CacheValue> cache;
   };
 
+  /// What one worker owns. Its claim counts have one writer; its latency
+  /// histogram is locked only by that worker and by stats(). Each worker
+  /// records spans into trace shard `index`.
+  struct alignas(64) WorkerState {
+    explicit WorkerState(uint32_t i) : index(i) {}
+    const uint32_t index;
+    std::atomic<uint64_t> claims_immediate{0};
+    std::atomic<uint64_t> claims_spun{0};
+    std::atomic<uint64_t> claims_parked{0};
+    std::mutex mu;
+    Histogram latency_us;
+  };
+
   GraphService(const PartitionedGraph* graph,
                const ReplicatedPlacement* placement, const Topology* topology,
                std::vector<double> ranks, ServeOptions options)
@@ -323,11 +374,26 @@ class GraphService {
         ranks_(std::move(ranks)),
         options_(std::move(options)),
         reversed_(graph->encoded_graph().Reversed()),
-        queue_(options_.admission_window_bytes) {
+        queue_(options_.admission_window_bytes),
+        spin_(runtime::BspBarrier::SpinFits(options_.num_workers + 1)) {
     shards_.reserve(graph_->num_partitions());
     for (uint32_t p = 0; p < graph_->num_partitions(); ++p) {
       shards_.push_back(std::make_unique<CacheShard>(
           options_.cache_capacity_per_partition));
+    }
+    worker_state_.reserve(options_.num_workers);
+    for (uint32_t w = 0; w < options_.num_workers; ++w) {
+      worker_state_.push_back(std::make_unique<WorkerState>(w));
+    }
+    if (options_.tracer != nullptr && obs::Tracer::CompiledIn()) {
+      sharded_ = std::make_unique<obs::ShardedTracer>(
+          options_.tracer, options_.num_workers,
+          obs::ShardedTracer::kDefaultShardCapacity);
+      for (Task::Kind kind :
+           {Task::Kind::kKHop, Task::Kind::kPath, Task::Kind::kRank}) {
+        span_name_ids_[static_cast<size_t>(kind)] =
+            sharded_->InternName(SpanName(kind), "serve");
+      }
     }
     if (options_.metrics != nullptr) {
       obs::MetricsRegistry& m = *options_.metrics;
@@ -341,7 +407,24 @@ class GraphService {
       cache_hits_metric_ = &m.CounterRef("serve_cache_hits_total");
       cache_misses_metric_ = &m.CounterRef("serve_cache_misses_total");
       latency_metric_ = &m.HistogramRef("serve_latency_us");
+      if (sharded_ != nullptr) {
+        trace_dropped_metric_ = &m.CounterRef("serve_trace_events_dropped");
+      }
     }
+  }
+
+  /// A task of `kind` with the promise answering `Response` engaged.
+  template <typename Response>
+  static std::unique_ptr<Task> NewTask(Task::Kind kind) {
+    auto task = std::make_unique<Task>();
+    task->kind = kind;
+    task->promise.template emplace<std::promise<Result<Response>>>();
+    return task;
+  }
+
+  template <typename Response>
+  static std::promise<Result<Response>>& PromiseOf(Task& task) {
+    return std::get<std::promise<Result<Response>>>(task.promise);
   }
 
   void Submit(std::unique_ptr<Task> task, VertexId a,
@@ -385,11 +468,17 @@ class GraphService {
     }
     // TrySend moved the task into the queue; `task` is now null.
     submitted_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      ++published_;
+    // The submitter's half of Park's pair: publish, then look for sleepers.
+    published_.fetch_add(1);
+    if (sleepers_.load() > 0) {
+      // Taking wake_mu_ orders this notify after any parking worker's
+      // final check: that worker holds the mutex until wait() releases it.
+      { std::lock_guard<std::mutex> lock(wake_mu_); }
+      wake_cv_.notify_one();
     }
-    wake_cv_.notify_one();
+    if (closed_.load()) {
+      ResolveUnclaimed();
+    }
   }
 
   void Reject(Task& task, Status status) {
@@ -399,16 +488,24 @@ class GraphService {
 
   /// Fails the task's engaged promise with `status`.
   static void Resolve(Task& task, Status status) {
-    switch (task.kind) {
-      case Task::Kind::kKHop:
-        task.khop_promise.set_value(std::move(status));
-        break;
-      case Task::Kind::kPath:
-        task.path_promise.set_value(std::move(status));
-        break;
-      case Task::Kind::kRank:
-        task.rank_promise.set_value(std::move(status));
-        break;
+    std::visit(
+        [&status](auto& promise) {
+          if constexpr (!std::is_same_v<std::decay_t<decltype(promise)>,
+                                        std::monostate>) {
+            promise.set_value(std::move(status));
+          }
+        },
+        task.promise);
+  }
+
+  /// Claims every published query no worker claimed and resolves it with
+  /// kUnavailable. Runs only once the workers are joined.
+  void ResolveUnclaimed() {
+    while (TryClaim()) {
+      if (std::optional<std::unique_ptr<Task>> task = queue_.TryRecv()) {
+        unavailable_.fetch_add(1, std::memory_order_relaxed);
+        Resolve(**task, Status::Unavailable("GraphService stopped"));
+      }
     }
   }
 
@@ -430,30 +527,70 @@ class GraphService {
     }
   }
 
-  /// Claims one published query at a time and executes it; once stopping,
-  /// drains what is published and returns. `published_` and `stop_` change
-  /// only under wake_mu_, which the wait predicate reads them under, so a
-  /// notify can never fall between the check and the sleep: no lost
-  /// wake-ups, hence no timed wait.
-  void WorkerLoop() {
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(wake_mu_);
-        wake_cv_.wait(lock, [this] { return stop_ || published_ > 0; });
-        if (published_ == 0) {
-          return;
-        }
-        --published_;
+  /// Takes one published query off the count; false when none is left.
+  bool TryClaim() {
+    size_t published = published_.load();
+    while (published > 0) {
+      if (published_.compare_exchange_weak(published, published - 1)) {
+        return true;
       }
-      // Every claim follows its query's TrySend and only claimants dequeue
-      // while workers run, so the queue holds a query for this claim.
+    }
+    return false;
+  }
+
+  /// Claims one published query at a time and executes it; once stopping,
+  /// drains what is published and returns. Finding none, the worker spins
+  /// for BspBarrier::kSpinBudget when spin_ holds, then parks (Park). Every
+  /// claim follows its query's TrySend and only claimants dequeue, so the
+  /// queue holds a query for each claim.
+  void WorkerLoop(WorkerState& self) {
+    bool claimed = false;
+    const auto claim_or_stop = [this, &claimed] {
+      claimed = TryClaim();
+      return claimed || stop_.load(std::memory_order_relaxed);
+    };
+    while (true) {
+      if (TryClaim()) {
+        self.claims_immediate.fetch_add(1, std::memory_order_relaxed);
+      } else if (spin_ &&
+                 runtime::SpinUntil(claim_or_stop,
+                                    std::chrono::steady_clock::now() +
+                                        runtime::BspBarrier::kSpinBudget) &&
+                 claimed) {
+        self.claims_spun.fetch_add(1, std::memory_order_relaxed);
+      } else if (Park()) {
+        self.claims_parked.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        return;
+      }
       if (std::optional<std::unique_ptr<Task>> task = queue_.TryRecv()) {
-        Execute(**task);
+        Execute(**task, self);
       }
     }
   }
 
-  void Execute(Task& task) {
+  /// Sleeps on wake_cv_ until it claims a query (true) or the service stops
+  /// with nothing published (false). No wake-up can be lost, so the wait
+  /// has no timeout. The worker increments sleepers_ and then re-reads
+  /// published_ (in TryClaim); Submit increments published_ and then reads
+  /// sleepers_. All four accesses are seq_cst, so in their single total
+  /// order at least one side sees the other's write: either this check
+  /// finds the query, or the submitter sees a sleeper and notifies. It
+  /// notifies only after taking wake_mu_, which the worker holds from its
+  /// check until wait() releases it, so the notify cannot fall between the
+  /// two.
+  bool Park() {
+    std::unique_lock<std::mutex> lock(wake_mu_);
+    sleepers_.fetch_add(1);
+    bool claimed = false;
+    while (!(claimed = TryClaim()) && !stop_.load()) {
+      wake_cv_.wait(lock);
+    }
+    sleepers_.fetch_sub(1);
+    return claimed;
+  }
+
+  void Execute(Task& task, WorkerState& self) {
     const auto now = std::chrono::steady_clock::now();
     if (now > task.deadline) {
       shed_deadline_.fetch_add(1, std::memory_order_relaxed);
@@ -465,41 +602,52 @@ class GraphService {
                         "overloaded"));
       return;
     }
-    obs::ScopedSpan span(options_.tracer, SpanName(task.kind), "serve");
-    // Counters and the latency histogram update BEFORE the promise resolves,
-    // so a client that calls stats() right after future.get() returns sees
-    // its own query accounted for.
-    const auto finish = [this, &task] {
+    const double span_start_us =
+        sharded_ != nullptr ? options_.tracer->WallNowUs() : 0.0;
+    // Counters, the latency histogram and the span update BEFORE the
+    // promise resolves, so a client that calls stats() right after
+    // future.get() returns sees its own query accounted for.
+    const auto finish = [this, &task, &self, span_start_us] {
       completed_.fetch_add(1, std::memory_order_relaxed);
       const double latency_us =
           std::chrono::duration<double, std::micro>(
               std::chrono::steady_clock::now() - task.enqueued)
               .count();
       {
-        std::lock_guard<std::mutex> lock(latency_mu_);
-        latency_us_.Add(latency_us);
+        std::lock_guard<std::mutex> lock(self.mu);
+        self.latency_us.Add(latency_us);
       }
       if (latency_metric_ != nullptr) {
         latency_metric_->Observe(latency_us);
+      }
+      if (sharded_ != nullptr) {
+        const obs::ShardEvent span{
+            span_name_ids_[static_cast<size_t>(task.kind)],
+            obs::Tracer::CurrentThreadLane(), span_start_us,
+            options_.tracer->WallNowUs() - span_start_us, 0};
+        if (!sharded_->shard(self.index).Record(span) &&
+            trace_dropped_metric_ != nullptr) {
+          trace_dropped_metric_->Increment();
+        }
       }
     };
     switch (task.kind) {
       case Task::Kind::kKHop: {
         Result<KHopResponse> result = ExecuteKHop(task);
         finish();
-        task.khop_promise.set_value(std::move(result));
+        PromiseOf<KHopResponse>(task).set_value(std::move(result));
         break;
       }
       case Task::Kind::kPath: {
         Result<PathResponse> result = ExecutePath(task);
         finish();
-        task.path_promise.set_value(std::move(result));
+        PromiseOf<PathResponse>(task).set_value(std::move(result));
         break;
       }
       case Task::Kind::kRank: {
         Result<RankResponse> result = RankResponse{ranks_[task.a]};
         finish();
-        task.rank_promise.set_value(std::move(result));
+        PromiseOf<RankResponse>(task).set_value(std::move(result));
         break;
       }
     }
@@ -615,26 +763,38 @@ class GraphService {
 
   runtime::BoundedChannel<std::unique_ptr<Task>> queue_;
   std::vector<std::unique_ptr<CacheShard>> shards_;
+  /// Whether idle workers spin before parking: the workers plus one
+  /// submitting client must fit the host.
+  const bool spin_;
+  std::vector<std::unique_ptr<WorkerState>> worker_state_;
+  /// One shard per worker; null when no tracer is set or tracing is
+  /// compiled out.
+  std::unique_ptr<obs::ShardedTracer> sharded_;
+  uint32_t span_name_ids_[3] = {0, 0, 0};  ///< indexed by Task::Kind
 
   std::mutex lifecycle_mu_;
   bool stopped_ = false;
   std::vector<std::thread> workers_;
+  /// Queries enqueued and not yet claimed. See Park for the seq_cst pair
+  /// it forms with sleepers_.
+  std::atomic<size_t> published_{0};
+  /// Workers inside Park; Submit notifies only when this is nonzero.
+  std::atomic<uint32_t> sleepers_{0};
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
-  /// Guarded by wake_mu_: queries enqueued and not yet claimed by a worker,
-  /// and whether Stop has begun.
-  size_t published_ = 0;
-  bool stop_ = false;
+  /// Set under wake_mu_ when Stop begins.
+  std::atomic<bool> stop_{false};
+  /// Set once Stop has joined the workers.
+  std::atomic<bool> closed_{false};
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> shed_admission_{0};
   std::atomic<uint64_t> shed_deadline_{0};
+  std::atomic<uint64_t> unavailable_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
-  mutable std::mutex latency_mu_;
-  Histogram latency_us_;
 
   obs::Counter* queries_khop_ = nullptr;
   obs::Counter* queries_path_ = nullptr;
@@ -644,6 +804,7 @@ class GraphService {
   obs::Counter* cache_hits_metric_ = nullptr;
   obs::Counter* cache_misses_metric_ = nullptr;
   obs::HistogramMetric* latency_metric_ = nullptr;
+  obs::Counter* trace_dropped_metric_ = nullptr;
 };
 
 inline size_t GraphService::EstimateCostBytes(Task::Kind kind, uint32_t k) {

@@ -3,13 +3,15 @@
 // batch run, cache hits returning exactly the computed bytes, deterministic
 // admission-window shedding with kResourceExhausted (never blocking),
 // deadline shedding, partition-local paths, a served run's report passing
-// the run-report schema, and a concurrent-client stress mix run under the
-// TSan/ASan CI matrix.
+// the run-report schema, the spin-then-park hand-off (no lost wake-up, a
+// parked path that answers, Stop racing live clients), bounded serve spans,
+// and a concurrent-client stress mix run under the TSan/ASan CI matrix.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,8 @@
 #include "obs/metrics_registry.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "obs/trace_shard.h"
+#include "runtime/barrier.h"
 #include "serve/frontier.h"
 #include "serve/graph_service.h"
 #include "serve/lru_cache.h"
@@ -343,13 +347,22 @@ TEST(GraphServiceTest, StopResolvesQueuedQueriesWithUnavailable) {
 
 // ------------------------------------------------ concurrency + metrics
 
+/// How long a test waits for one answer. Any answer arrives well within it
+/// on a loaded or sanitized host, so a query still pending was stranded by
+/// a lost wake-up: workers wait without a timeout, so nothing would ever
+/// answer it.
+constexpr std::chrono::seconds kLostWakeUp(30);
+
+uint64_t Claims(const serve::ServiceStats& stats) {
+  return stats.claims_immediate + stats.claims_spun + stats.claims_parked;
+}
+
 // A closed loop of one client and one worker: every query lands just as the
 // worker finishes the previous one and looks for more, which is exactly when
-// a notify sent outside the worker's mutex can fall between its check for
-// work and its sleep, stranding the query until a timed sleep (5 ms) ends.
-// The latency is measured by the service itself (enqueue to answer), so the
-// client's own scheduling does not count. The race is narrow: a service
-// that has it fails this test in about one run in five.
+// a wake-up can fall between its check for work and its sleep. Workers wait
+// without a timeout, so a lost wake-up strands the query for good; the
+// bounded wait turns that hang into a named failure. Each claim is counted
+// by the way it was made, so the counts must add up to the answers.
 TEST(GraphServiceTest, SequentialQueriesNeverMissAWakeUp) {
   Engine session = Session();
   ServeOptions options;
@@ -359,13 +372,37 @@ TEST(GraphServiceTest, SequentialQueriesNeverMissAWakeUp) {
   constexpr int kQueries = 2000;
   const VertexId n = Fixture().graph.num_vertices();
   for (int q = 0; q < kQueries; ++q) {
-    auto response = (*service)->Rank(static_cast<VertexId>(q) % n).get();
+    auto future = (*service)->Rank(static_cast<VertexId>(q) % n);
+    ASSERT_EQ(future.wait_for(kLostWakeUp), std::future_status::ready)
+        << "query " << q << " was never claimed: a wake-up was lost";
+    auto response = future.get();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
   }
   const serve::ServiceStats stats = (*service)->stats();
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(kQueries));
-  EXPECT_LT(stats.latency_us.max(), 5000.0)
-      << "a query sat in the queue for a whole 5 ms timed wait";
+  EXPECT_EQ(Claims(stats), stats.completed);
+}
+
+// Queries spaced well beyond the spin budget find the worker parked, so the
+// park-and-notify path, not the spin, is what answers them.
+TEST(GraphServiceTest, QueriesSpacedPastTheSpinBudgetWakeParkedWorkers) {
+  Engine session = Session();
+  ServeOptions options;
+  options.num_workers = 1;
+  auto service = session.Serve(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  constexpr int kQueries = 20;
+  for (int q = 0; q < kQueries; ++q) {
+    std::this_thread::sleep_for(4 * runtime::BspBarrier::kSpinBudget);
+    auto future = (*service)->Rank(static_cast<VertexId>(q));
+    ASSERT_EQ(future.wait_for(kLostWakeUp), std::future_status::ready)
+        << "query " << q << " never woke the parked worker";
+    ASSERT_TRUE(future.get().ok());
+  }
+  const serve::ServiceStats stats = (*service)->stats();
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kQueries));
+  EXPECT_EQ(Claims(stats), stats.completed);
+  EXPECT_GT(stats.claims_parked, 0u);
 }
 
 TEST(GraphServiceTest, ServedRunReportPassesSchemaWithoutDrops) {
@@ -496,6 +533,164 @@ TEST(GraphServiceTest, ConcurrentClientsUnderSmallAdmissionWindow) {
   }
   EXPECT_EQ(exported_queries,
             static_cast<uint64_t>(kClients * kQueriesPerClient));
+}
+
+// Stop lands while four clients are still submitting, and the clients send
+// their second halves after it returned: every future must still resolve
+// (answered, shed, or kUnavailable), and the service's counts must account
+// for every query the clients sent.
+TEST(GraphServiceTest, StopWhileClientsSubmitResolvesEveryFuture) {
+  Engine session = Session();
+  ServeOptions options;
+  options.num_workers = 2;
+  options.admission_window_bytes = 16 << 10;
+  auto service = session.Serve(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  constexpr int kClients = 4;
+  constexpr int kQueriesPerClient = 300;
+  const VertexId n = Fixture().graph.num_vertices();
+  std::atomic<int> sent{0};
+  std::atomic<bool> stopped{false};
+  std::atomic<uint64_t> answered{0};
+  std::atomic<uint64_t> exhausted{0};
+  std::atomic<uint64_t> unavailable{0};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> hung{0};
+  const auto classify = [&](const Status& status) {
+    if (status.ok()) {
+      answered.fetch_add(1);
+    } else if (status.code() == StatusCode::kResourceExhausted) {
+      exhausted.fetch_add(1);
+    } else if (status.code() == StatusCode::kUnavailable) {
+      unavailable.fetch_add(1);
+    } else {
+      wrong.fetch_add(1);
+    }
+  };
+  const auto settle = [&](auto& future) {
+    if (future.wait_for(kLostWakeUp) != std::future_status::ready) {
+      hung.fetch_add(1);
+      return;
+    }
+    auto response = future.get();
+    classify(response.status());
+  };
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<std::future<Result<serve::KHopResponse>>> khops;
+      std::vector<std::future<Result<serve::PathResponse>>> paths;
+      std::vector<std::future<Result<serve::RankResponse>>> ranks;
+      for (int q = 0; q < kQueriesPerClient; ++q) {
+        if (q == kQueriesPerClient / 2) {
+          while (!stopped.load()) {
+            std::this_thread::yield();
+          }
+        }
+        const VertexId v = static_cast<VertexId>((c * 9973 + q * 131) % n);
+        switch (q % 3) {
+          case 0:
+            khops.push_back((*service)->KHop(v, 1 + (q % 2)));
+            break;
+          case 1:
+            // A self-path always exists, so it answers ok when served.
+            paths.push_back((*service)->PartitionPath(v, v));
+            break;
+          default:
+            ranks.push_back((*service)->Rank(v));
+            break;
+        }
+        sent.fetch_add(1);
+      }
+      for (auto& future : khops) {
+        settle(future);
+      }
+      for (auto& future : paths) {
+        settle(future);
+      }
+      for (auto& future : ranks) {
+        settle(future);
+      }
+    });
+  }
+  std::thread stopper([&] {
+    while (sent.load() < kClients * kQueriesPerClient / 4) {
+      std::this_thread::yield();
+    }
+    (*service)->Stop();
+    stopped.store(true);
+  });
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  stopper.join();
+
+  constexpr uint64_t kTotal = kClients * kQueriesPerClient;
+  EXPECT_EQ(hung.load(), 0u) << "a future never resolved";
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(answered.load() + exhausted.load() + unavailable.load(), kTotal);
+  // Workers drain what was published before they stop, and every query sent
+  // after Stop returned is resolved by its own submitter.
+  EXPECT_GT(answered.load(), 0u);
+  EXPECT_GE(unavailable.load(), kTotal / 2);
+  const serve::ServiceStats stats = (*service)->stats();
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.completed, answered.load());
+  EXPECT_EQ(stats.shed_admission + stats.shed_deadline, exhausted.load());
+  EXPECT_EQ(stats.unavailable, unavailable.load());
+  EXPECT_EQ(stats.completed + stats.shed_admission + stats.shed_deadline +
+                stats.unavailable,
+            kTotal);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.shed_deadline + stats.unavailable);
+  EXPECT_EQ(Claims(stats), stats.completed + stats.shed_deadline);
+}
+
+// A worker's trace shard holds kDefaultShardCapacity serve spans until Stop
+// flushes it; the spans beyond are dropped, counted in ServiceStats and in
+// the serve_trace_events_dropped metric, and the report's strict drop gate
+// fails on them.
+TEST(GraphServiceTest, FullTraceShardDropsAndCountsServeSpans) {
+  if (!obs::Tracer::CompiledIn()) {
+    GTEST_SKIP() << "tracing compiled out";
+  }
+  Engine session = Session();
+  ServeOptions options;
+  options.num_workers = 1;
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  options.metrics = &metrics;
+  options.tracer = &tracer;
+  auto service = session.Serve(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  constexpr uint64_t kOverflow = 50;
+  constexpr uint64_t kQueries =
+      obs::ShardedTracer::kDefaultShardCapacity + kOverflow;
+  for (uint64_t q = 0; q < kQueries; ++q) {
+    ASSERT_TRUE((*service)->Rank(static_cast<VertexId>(q % 64)).get().ok());
+  }
+  (*service)->Stop();
+  const serve::ServiceStats stats = (*service)->stats();
+  EXPECT_EQ(stats.completed, kQueries);
+  EXPECT_EQ(stats.trace_events_dropped, kOverflow);
+  EXPECT_EQ(tracer.num_events(), obs::ShardedTracer::kDefaultShardCapacity);
+
+  obs::RunReportOptions report_options;
+  report_options.name = "serve_test";
+  const obs::JsonValue report =
+      obs::BuildRunReport(report_options, nullptr, &metrics, &tracer);
+  ASSERT_TRUE(obs::ValidateRunReport(report).ok());
+  obs::BenchCheckOptions strict;
+  strict.strict_drops = true;
+  const obs::BenchCheckResult check =
+      obs::CheckBenchBaseline(report, report, strict);
+  EXPECT_FALSE(check.ok);
+  ASSERT_FALSE(check.failures.empty());
+  EXPECT_NE(check.failures.front().find("serve_trace_events_dropped"),
+            std::string::npos)
+      << check.failures.front();
 }
 
 }  // namespace

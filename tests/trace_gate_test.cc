@@ -268,6 +268,30 @@ TEST(BenchGateTest, ReportArtifactsMustPassTheRunReportSchema) {
   EXPECT_NE(result.failures[0].find("bytes"), std::string::npos);
 }
 
+// A run report counts its drops in the metrics registry (the runtime's and
+// the serving plane's trace shards): strict drops fail on them, by name.
+TEST(BenchGateTest, ReportRegistryDropCountersAreGated) {
+  JsonValue report = ParseOrDie(R"({
+    "schema_version": 3, "name": "serve_report",
+    "metrics": {"counters": [
+      {"name": "serve_queries_total", "labels": {"kind": "rank"}, "value": 9},
+      {"name": "serve_trace_events_dropped", "value": 0}],
+      "gauges": [], "histograms": []}})");
+  BenchCheckOptions strict;
+  strict.strict_drops = true;
+  EXPECT_TRUE(CheckBenchBaseline(report, report, strict).ok);
+
+  JsonValue* counters = FindMutable(*FindMutable(report, "metrics"),
+                                    "counters");
+  *FindMutable(counters->as_array()[1], "value") = JsonValue(uint64_t{4});
+  EXPECT_TRUE(CheckBenchBaseline(report, report).ok) << "advisory by default";
+  const BenchCheckResult failed = CheckBenchBaseline(report, report, strict);
+  EXPECT_FALSE(failed.ok);
+  ASSERT_EQ(failed.failures.size(), 1u);
+  EXPECT_NE(failed.failures[0].find("serve_trace_events_dropped"),
+            std::string::npos);
+}
+
 TEST(BenchGateTest, PeakRssGatedWithHostAwareTolerance) {
   JsonValue baseline = MakeBaselineDoc();
   JsonValue* base_points = FindMutable(baseline, "points");
