@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <csignal>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
-#include <thread>
 #include <unistd.h>
 #include <utility>
 
@@ -22,7 +22,7 @@ namespace {
 /// run wedged. Generous: workers only go quiet while computing.
 constexpr int kEventTimeoutMs = 120000;
 
-/// Grace period between closing a child's control socket and SIGKILL.
+/// How long a reap waits for the child's exit before SIGKILL.
 constexpr int kReapGraceMs = 10000;
 
 /// Completed-round history the straggler detector's trailing median uses.
@@ -30,7 +30,76 @@ constexpr size_t kRoundHistory = 16;
 /// Completed rounds needed before the detector trusts its median at all.
 constexpr size_t kMinRoundHistory = 3;
 
+/// Every frame type a worker sends on the control plane, with its key in
+/// the cluster block's control_frames_read.
+constexpr std::pair<FrameType, const char*> kWorkerControlFrames[] = {
+    {FrameType::kHello, "hello"},
+    {FrameType::kReady, "ready"},
+    {FrameType::kTaskDone, "task_done"},
+    {FrameType::kRoundDone, "round_done"},
+    {FrameType::kHeartbeat, "heartbeat"},
+    {FrameType::kWorkerStats, "worker_stats"},
+    {FrameType::kFinalState, "final_state"},
+    {FrameType::kFinalVirtual, "final_virtual"},
+    {FrameType::kWorkerReport, "worker_report"},
+    {FrameType::kFinalDone, "final_done"},
+};
+
+/// Half-closes `fd` and discards what the peer still writes until its EOF.
+/// Returns false if no EOF came within `grace_ms`.
+bool AwaitPeerEof(int fd, int grace_ms) {
+  ::shutdown(fd, SHUT_WR);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(grace_ms);
+  char sink[4096];
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() < 0) {
+      return false;
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()) + 1);
+    if (rc < 0 && errno == EINTR) {
+      continue;
+    }
+    if (rc <= 0) {
+      return false;
+    }
+    const ssize_t n = ::read(fd, sink, sizeof(sink));
+    if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
+      return true;  // EOF, or the reset of a peer that closed unread input
+    }
+  }
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point& mark) {
+  const auto now = std::chrono::steady_clock::now();
+  const double s = std::chrono::duration<double>(now - mark).count();
+  mark = now;
+  return s;
+}
+
 }  // namespace
+
+void SetCoordinatorCosts(const CoordinatorOutcome& outcome,
+                         obs::JsonValue& cluster) {
+  const CoordinatorPhases& p = outcome.phases;
+  obs::JsonValue::Object phases = {{"spawn", p.spawn_s},
+                                   {"handshake", p.handshake_s},
+                                   {"rounds", p.rounds_s},
+                                   {"finalize", p.finalize_s},
+                                   {"reap", p.reap_s}};
+  cluster.Set("coordinator_s", std::move(phases));
+  obs::JsonValue::Object frames;
+  for (const auto& [type, name] : kWorkerControlFrames) {
+    const auto it = outcome.control_frames_read.find(type);
+    frames.emplace_back(name, it == outcome.control_frames_read.end()
+                                  ? uint64_t{0}
+                                  : it->second);
+  }
+  cluster.Set("control_frames_read", std::move(frames));
+}
 
 DistributedCoordinator::DistributedCoordinator(CoordinatorParams params,
                                                WorkerEntry entry)
@@ -48,28 +117,36 @@ Result<CoordinatorOutcome> DistributedCoordinator::Run() {
   live_.assign(params_.num_processes, LiveProc{});
   round_durations_s_.clear();
   stragglers_flagged_ = 0;
+  frames_read_.clear();
 
   CoordinatorOutcome out;
   out.worker_reports.assign(params_.num_processes, "");
   out.worker_stats.assign(params_.num_processes, WorkerStatsMsg{});
 
+  auto mark = std::chrono::steady_clock::now();
   Status st = Spawn();
+  out.phases.spawn_s = SecondsSince(mark);
   if (st.ok()) {
     st = HandshakeAll();
+    out.phases.handshake_s = SecondsSince(mark);
   }
   if (st.ok()) {
     st = RunBsp(&out);
+    out.phases.rounds_s = SecondsSince(mark);
   }
   if (st.ok()) {
     st = Finalize(&out);
+    out.phases.finalize_s = SecondsSince(mark);
   }
   Shutdown();
+  out.phases.reap_s = SecondsSince(mark);
   if (!st.ok()) {
     return st;
   }
   out.alive = alive_machines_;
   out.machine_failures = machine_failures_;
   out.stragglers_flagged = stragglers_flagged_;
+  out.control_frames_read = frames_read_;
   return out;
 }
 
@@ -107,7 +184,7 @@ Status DistributedCoordinator::HandshakeAll() {
   PeersMsg peers;
   peers.ports.assign(params_.num_processes, 0);
   for (uint32_t i = 0; i < params_.num_processes; ++i) {
-    SURFER_ASSIGN_OR_RETURN(Frame frame, ReadFrame(procs_[i].control));
+    SURFER_ASSIGN_OR_RETURN(Frame frame, ReadControl(i));
     if (frame.type != FrameType::kHello) {
       return Status::Internal("expected kHello from worker " +
                               std::to_string(i));
@@ -128,7 +205,7 @@ Status DistributedCoordinator::HandshakeAll() {
                                       placement_payload));
   }
   for (uint32_t i = 0; i < params_.num_processes; ++i) {
-    SURFER_ASSIGN_OR_RETURN(Frame frame, ReadFrame(procs_[i].control));
+    SURFER_ASSIGN_OR_RETURN(Frame frame, ReadControl(i));
     if (frame.type != FrameType::kReady) {
       return Status::Internal("expected kReady from worker " +
                               std::to_string(i));
@@ -360,6 +437,9 @@ Status DistributedCoordinator::DriveRound(RoundMsg round,
     }
     CheckStragglers(round, expect, started_us, out);
   }
+  if (*deaths == 0) {
+    MarkRoundTasksDone(round);
+  }
   round_durations_s_.push_back(
       static_cast<double>(NowUnixUs() - started_us) / 1e6);
   if (round_durations_s_.size() > kRoundHistory) {
@@ -368,6 +448,25 @@ Status DistributedCoordinator::DriveRound(RoundMsg round,
   out->round_records.push_back(std::move(record));
   ++out->rounds;
   return Status::OK();
+}
+
+void DistributedCoordinator::MarkRoundTasksDone(const RoundMsg& round) {
+  // The same records the kTaskDone handler makes, task by task.
+  for (PartitionId p = 0; p < done_.size(); ++p) {
+    if (round.kind == RoundKind::kResend) {
+      if (round.reexec[p] != kInvalidMachine) {
+        transfer_exec_[p] = round.reexec[p];
+      }
+      continue;
+    }
+    if (round.exec[p] == kInvalidMachine) {
+      continue;
+    }
+    done_[p] = 1;
+    if (round.kind == RoundKind::kTransfer) {
+      transfer_exec_[p] = round.exec[p];
+    }
+  }
 }
 
 void DistributedCoordinator::NoteHeartbeat(uint32_t proc,
@@ -402,6 +501,13 @@ void DistributedCoordinator::CheckStragglers(
   bool flagged = false;
   for (uint32_t i = 0; i < expect.size(); ++i) {
     if (!expect[i] || live_[i].straggler) {
+      continue;
+    }
+    // A process whose last heartbeat says it waits at this round's barrier
+    // is held up by the straggler, not one itself.
+    const HeartbeatMsg& hb = live_[i].hb;
+    if (live_[i].hb_recv_us != 0 && hb.round_seq == round.seq &&
+        hb.barrier_waiting != 0) {
       continue;
     }
     live_[i].straggler = true;
@@ -494,7 +600,7 @@ DistributedCoordinator::WaitControlEvent() {
     Event event;
     event.proc = owner[k];
     if ((fds[k].revents & POLLIN) != 0) {
-      Result<Frame> frame = ReadFrame(procs_[owner[k]].control);
+      Result<Frame> frame = ReadControl(owner[k]);
       if (!frame.ok()) {
         event.death = true;
         return event;
@@ -509,20 +615,27 @@ DistributedCoordinator::WaitControlEvent() {
   return Status::Internal("poll reported readiness but no fd was ready");
 }
 
+Result<Frame> DistributedCoordinator::ReadControl(uint32_t proc) {
+  Result<Frame> frame = ReadFrame(procs_[proc].control);
+  if (frame.ok()) {
+    ++frames_read_[frame->type];
+  }
+  return frame;
+}
+
 Status DistributedCoordinator::MarkProcDead(uint32_t proc) {
   Proc& p = procs_[proc];
   if (!p.alive) {
     return Status::OK();
   }
   p.alive = false;
-  p.control.Close();
   for (MachineId m = 0; m < params_.num_machines; ++m) {
     if (HostsMachine(proc, m) && alive_machines_[m]) {
       alive_machines_[m] = 0;
       ++machine_failures_;
     }
   }
-  ReapChild(p, /*force_kill_after_grace=*/true);
+  ReapChild(p);
   if (!fault_tolerant_) {
     return Status::Internal(
         "worker process " + std::to_string(proc) +
@@ -531,29 +644,21 @@ Status DistributedCoordinator::MarkProcDead(uint32_t proc) {
   return Status::OK();
 }
 
-void DistributedCoordinator::ReapChild(Proc& proc,
-                                       bool force_kill_after_grace) {
+void DistributedCoordinator::ReapChild(Proc& proc) {
   if (proc.reaped || proc.pid <= 0) {
     return;
   }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(kReapGraceMs);
-  for (;;) {
-    const pid_t rc = ::waitpid(proc.pid, nullptr, WNOHANG);
-    if (rc == proc.pid || (rc < 0 && errno == ECHILD)) {
-      proc.reaped = true;
-      return;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  if (force_kill_after_grace) {
+  // Spawn left the child the only other holder of its control socket, so
+  // EOF there is its exit; the half-close is the cue for a worker still
+  // reading control to exit.
+  if (!proc.control.valid() ||
+      !AwaitPeerEof(proc.control.fd(), kReapGraceMs)) {
     ::kill(proc.pid, SIGKILL);
-    ::waitpid(proc.pid, nullptr, 0);
-    proc.reaped = true;
   }
+  while (::waitpid(proc.pid, nullptr, 0) < 0 && errno == EINTR) {
+  }
+  proc.reaped = true;
+  proc.control.Close();
 }
 
 Status DistributedCoordinator::DeliverSigterm(CoordinatorOutcome* out) {
@@ -567,11 +672,7 @@ Status DistributedCoordinator::DeliverSigterm(CoordinatorOutcome* out) {
   // The worker flushes, writes its artifacts, and exits; consume anything it
   // still says and wait for its EOF so the next round's liveness snapshot is
   // deterministic.
-  for (;;) {
-    Result<Frame> frame = ReadFrame(procs_[proc].control);
-    if (!frame.ok()) {
-      break;
-    }
+  while (ReadControl(proc).ok()) {
   }
   return MarkProcDead(proc);
 }
@@ -591,7 +692,7 @@ Status DistributedCoordinator::Finalize(CoordinatorOutcome* out) {
     }
     bool collecting = true;
     while (collecting) {
-      Result<Frame> frame = ReadFrame(procs_[i].control);
+      Result<Frame> frame = ReadControl(i);
       if (!frame.ok()) {
         SURFER_RETURN_IF_ERROR(MarkProcDead(i));
         break;
@@ -640,14 +741,14 @@ Status DistributedCoordinator::Finalize(CoordinatorOutcome* out) {
 }
 
 void DistributedCoordinator::Shutdown() {
+  // Half-close them all first, so no worker's exit waits on a reap order.
   for (Proc& proc : procs_) {
-    if (proc.alive && proc.control.valid()) {
-      (void)WriteFrame(proc.control, FrameType::kShutdown);
+    if (proc.control.valid()) {
+      ::shutdown(proc.control.fd(), SHUT_WR);
     }
   }
   for (Proc& proc : procs_) {
-    proc.control.Close();
-    ReapChild(proc, /*force_kill_after_grace=*/true);
+    ReapChild(proc);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <string>
 #include <sys/types.h>
 #include <vector>
@@ -11,7 +12,9 @@
 #include "common/result.h"
 #include "graph/types.h"
 #include "net/control.h"
+#include "net/frame.h"
 #include "net/socket.h"
+#include "obs/json.h"
 #include "runtime/timeline.h"
 #include "storage/replication.h"
 
@@ -46,6 +49,16 @@ struct CoordinatorParams {
   std::function<void(const std::string&)> status_sink;
 };
 
+/// Where the coordinator's own wall time went in one run. The five phases
+/// run back to back, so their sum is the time Run() took.
+struct CoordinatorPhases {
+  double spawn_s = 0.0;      ///< fork every worker
+  double handshake_s = 0.0;  ///< hello -> peers + placement -> ready
+  double rounds_s = 0.0;     ///< every BSP round, recovery rounds included
+  double finalize_s = 0.0;   ///< kFinalize to the last worker's kFinalDone
+  double reap_s = 0.0;       ///< wait for every worker's exit
+};
+
 /// What a completed coordinator run hands back to the executor.
 struct CoordinatorOutcome {
   uint32_t machine_failures = 0;
@@ -68,15 +81,28 @@ struct CoordinatorOutcome {
   std::vector<runtime::ClusterRoundRecord> round_records;
   /// (round, process) pairs the online detector flagged as stragglers.
   uint64_t stragglers_flagged = 0;
+  CoordinatorPhases phases;
+  /// Control frames the coordinator read, by type.
+  std::map<FrameType, uint64_t> control_frames_read;
 };
+
+/// Sets the cluster block's coordinator keys on `cluster`: "coordinator_s"
+/// {"spawn", "handshake", "rounds", "finalize", "reap"} and
+/// "control_frames_read" {"<type>": n, ...}, which names every type a worker
+/// sends on the control plane, zero if none arrived.
+void SetCoordinatorCosts(const CoordinatorOutcome& outcome,
+                         obs::JsonValue& cluster);
 
 /// Parent-process side of the distributed engine: forks one worker process
 /// per simulated machine group, runs the setup rendezvous (hello -> peers ->
 /// placement -> ready), then drives the BSP barrier over control frames.
 ///
 /// Per stage it assigns every pending partition to its first alive replica
-/// holder and broadcasts a kRound; workers report kTaskDone per task and
-/// kRoundDone when their round (work + mesh drain) is complete. A worker
+/// holder and broadcasts a kRound; workers report kRoundDone when their
+/// round (work + mesh drain) is complete. A round that every process
+/// reported and none died in completes every task it assigned, so the
+/// coordinator marks them done itself; only fault-tolerant runs, where a
+/// death can cut a round short, also report kTaskDone per task. A worker
 /// process that dies — fault-plan self-kill, delivered SIGTERM, or crash —
 /// surfaces as EOF on its control socket; the coordinator marks its hosted
 /// machines dead, treats its round as implicitly done, and schedules
@@ -84,6 +110,11 @@ struct CoordinatorOutcome {
 /// (retained-batch replay + transfer re-execution) to rebuild the inboxes of
 /// partitions whose holders died before combining. A death in a
 /// non-fault-tolerant run aborts the job instead.
+///
+/// A worker exits on its own once it has sent its results (kFinalDone), and
+/// on EOF of its control socket otherwise. Every reap waits for that exit:
+/// the worker holds the only other end of its control socket, so its EOF
+/// there is the exit, and a blocking waitpid follows.
 class DistributedCoordinator {
  public:
   /// Runs the worker side in the forked child. Must never return; the child
@@ -92,7 +123,7 @@ class DistributedCoordinator {
 
   DistributedCoordinator(CoordinatorParams params, WorkerEntry entry);
 
-  /// Spawns, drives, collects, shuts down. Always reaps every child before
+  /// Spawns, drives, collects, reaps. Always reaps every child before
   /// returning, also on error.
   Result<CoordinatorOutcome> Run();
 
@@ -118,14 +149,23 @@ class DistributedCoordinator {
   /// Broadcasts one round and pumps control events until every alive
   /// process reported kRoundDone. `deaths` counts processes lost mid-round.
   Status DriveRound(RoundMsg round, CoordinatorOutcome* out, int* deaths);
+  /// Records what the per-task kTaskDone frames of a round that completed
+  /// with no death would have: every task the round assigned is done.
+  void MarkRoundTasksDone(const RoundMsg& round);
   Status Finalize(CoordinatorOutcome* out);
+  /// Half-closes every control socket, then reaps every child.
   void Shutdown();
 
+  /// Reads one frame from a worker's control socket and counts it by type.
+  Result<Frame> ReadControl(uint32_t proc);
   Result<Event> WaitControlEvent();
   /// Marks a process (and its hosted machines) dead and reaps it. Returns an
   /// error when the run is not fault tolerant.
   Status MarkProcDead(uint32_t proc);
-  void ReapChild(Proc& proc, bool force_kill_after_grace);
+  /// Waits for the child's exit (control EOF, then a blocking waitpid),
+  /// killing it if it has not exited within the reap grace period, and
+  /// closes our end of its control socket.
+  void ReapChild(Proc& proc);
   Status DeliverSigterm(CoordinatorOutcome* out);
 
   /// Live health plane: folds one heartbeat into the status table and
@@ -162,6 +202,7 @@ class DistributedCoordinator {
   std::vector<LiveProc> live_;
   std::deque<double> round_durations_s_;  ///< trailing completed rounds
   uint64_t stragglers_flagged_ = 0;
+  std::map<FrameType, uint64_t> frames_read_;
 
   // Per-stage scheduling state.
   std::vector<uint8_t> done_;

@@ -136,7 +136,8 @@ class DistributedWorker {
         transport_(proc, std::move(control)) {}
 
   /// Runs the whole worker life cycle. Never returns: every path ends in
-  /// _exit (0 clean/graceful, 2 fault or protocol failure).
+  /// _exit (0 once the results are sent or after SIGTERM, 2 on a fault, a
+  /// protocol failure or the coordinator closing control first).
   [[noreturn]] void Run() {
     InstallWorkerSignalHandlers();
     tracer_ = std::make_unique<obs::Tracer>();
@@ -168,8 +169,8 @@ class DistributedWorker {
         }
         case FrameType::kFinalize:
           Finalize();
-          break;
-        case FrameType::kShutdown:
+          // Exiting now overlaps this process's exit with the coordinator
+          // collecting the other workers' results.
           transport_.CloseAll();
           ::_exit(0);
         default:
@@ -363,7 +364,7 @@ class DistributedWorker {
         if (round.recovery != 0) {
           ++stats_.tasks_reexecuted;
         }
-        SendTaskDone(p, m, round);
+        MaybeSendTaskDone(p, m, round);
         if (round.kind == RoundKind::kTransfer) {
           stagers_.at(m).FlushExpired(SendSink());
         }
@@ -398,7 +399,7 @@ class DistributedWorker {
         ReexecTransfer(q, m, round);
         ++stats_.tasks_executed;
         ++stats_.tasks_reexecuted;
-        SendTaskDone(q, m, round);
+        MaybeSendTaskDone(q, m, round);
         PumpMailbox();
       }
     }
@@ -410,6 +411,9 @@ class DistributedWorker {
       Die();
     }
     barrier_waiting_ = true;
+    // Say so at once: the straggler detector skips a process whose last
+    // heartbeat reports it waiting at this round's barrier.
+    MaybeHeartbeat(/*force=*/true);
     for (;;) {
       PumpMailbox();
       if (transport_.RoundDrained(round.seq)) {
@@ -434,15 +438,16 @@ class DistributedWorker {
     current_stage_ = kIdleStage;
   }
 
-  /// Sends one heartbeat if the period elapsed. Main-thread only (idle tick
-  /// + barrier drain loop), so it never races other control-plane writes.
-  void MaybeHeartbeat() {
+  /// Sends one heartbeat if the period elapsed, or `force` is set and
+  /// heartbeats are on. Main-thread only (idle tick + barrier drain loop), so
+  /// it never races other control-plane writes.
+  void MaybeHeartbeat(bool force = false) {
     if (heartbeat_period_ms_ == 0) {
       return;
     }
     const double now = NowUnixUs();
-    if (now - last_heartbeat_us_ <
-        static_cast<double>(heartbeat_period_ms_) * 1000.0) {
+    if (!force && now - last_heartbeat_us_ <
+                      static_cast<double>(heartbeat_period_ms_) * 1000.0) {
       return;
     }
     last_heartbeat_us_ = now;
@@ -466,7 +471,13 @@ class DistributedWorker {
     }
   }
 
-  void SendTaskDone(PartitionId p, MachineId m, const RoundMsg& round) {
+  /// Only recovery reads per-task reports: a fault-free round's tasks are
+  /// marked done by the coordinator once every process reported kRoundDone,
+  /// and a run that is not fault tolerant aborts on any death.
+  void MaybeSendTaskDone(PartitionId p, MachineId m, const RoundMsg& round) {
+    if (!fault_tolerant_) {
+      return;
+    }
     TaskDoneMsg msg;
     msg.partition = p;
     msg.machine = m;
@@ -576,7 +587,7 @@ class DistributedWorker {
       virtual_acc_[id] = {round.iteration, output};
     }
     if (fault_tolerant_) {
-      // Replicate *before* TASK_DONE: once the coordinator marks p done, a
+      // Replicate *before* kTaskDone: once the coordinator marks p done, a
       // replica holder must already be able to take over from this state.
       ReplicateState(p, round.iteration, meta, virtual_results);
     }
@@ -1219,6 +1230,7 @@ class DistributedExecutor {
     }
     cluster_report_ = runtime::ClusterTimelineToJson(
         outcome.round_records, links, outcome.stragglers_flagged);
+    SetCoordinatorCosts(outcome, cluster_report_);
     if (!options_.artifact_dir.empty()) {
       obs::JsonValue doc = obs::JsonValue::MakeObject();
       doc.Set("name", obs::JsonValue("surfer_dist_cluster"));

@@ -47,8 +47,8 @@ enum class FrameType : uint16_t {
   kFinalState = 10,  ///< worker -> coordinator: one partition's vertex states
   kFinalVirtual = 11,  ///< worker -> coordinator: virtual vertex outputs
   kWorkerReport = 12,  ///< worker -> coordinator: run-report JSON text
-  kFinalDone = 13,   ///< worker -> coordinator: result stream complete
-  kShutdown = 14,    ///< coordinator -> workers: exit now
+  kFinalDone = 13,   ///< worker -> coordinator: result stream complete;
+                     ///< the worker exits right after sending it
   kHeartbeat = 15,   ///< worker -> coordinator: periodic liveness + load
   // Data mesh.
   kMeshHello = 20,   ///< connecting worker identifies its process index
@@ -91,7 +91,7 @@ static_assert(std::is_trivially_copyable_v<FrameHeader>);
 static_assert(sizeof(FrameHeader) == 32);
 
 struct Frame {
-  FrameType type = FrameType::kShutdown;
+  FrameType type{};  ///< 0 names no frame type until a frame is read
   std::vector<uint8_t> payload;
   uint64_t link_seq = 0;      ///< sender's per-link frame counter
   uint64_t send_unix_us = 0;  ///< sender's clock at WriteFrame

@@ -397,6 +397,38 @@ Status ValidateRunReport(const JsonValue& report) {
       }
     }
   }
+
+  // The distributed engine's cluster block. Its coordinator keys are
+  // typed: the coordinator's wall time split into five phases, and the
+  // control frames it read, by type.
+  if (const JsonValue* cluster = report.Find("cluster"); cluster != nullptr) {
+    SURFER_RETURN_IF_ERROR(
+        Expect(cluster->is_object(), "cluster must be an object"));
+    SURFER_RETURN_IF_ERROR(RequireNumber(*cluster, "stragglers_flagged"));
+    const JsonValue* phases = cluster->Find("coordinator_s");
+    SURFER_RETURN_IF_ERROR(Expect(phases != nullptr && phases->is_object(),
+                                  "cluster.coordinator_s missing"));
+    for (const char* key :
+         {"spawn", "handshake", "rounds", "finalize", "reap"}) {
+      const JsonValue* seconds = phases->Find(key);
+      SURFER_RETURN_IF_ERROR(
+          Expect(seconds != nullptr && seconds->is_number() &&
+                     seconds->as_number() >= 0.0,
+                 std::string("cluster.coordinator_s.") + key +
+                     " must be a number >= 0"));
+    }
+    const JsonValue* frames = cluster->Find("control_frames_read");
+    SURFER_RETURN_IF_ERROR(
+        Expect(frames != nullptr && frames->is_object() &&
+                   !frames->as_object().empty(),
+               "cluster.control_frames_read missing"));
+    for (const auto& [type, count] : frames->as_object()) {
+      SURFER_RETURN_IF_ERROR(
+          Expect(count.is_number() && count.as_number() >= 0.0,
+                 "cluster.control_frames_read." + type +
+                     " must be a count"));
+    }
+  }
   return Status::OK();
 }
 

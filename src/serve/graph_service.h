@@ -59,7 +59,8 @@ struct ServeOptions {
   /// dequeues a query past its deadline sheds it with kResourceExhausted
   /// instead of doing stale work.
   std::chrono::milliseconds default_deadline{250};
-  /// Optional serve_* metrics export (counters, latency histogram).
+  /// Optional serve_* metrics export: counters as queries run, and the
+  /// serve_latency_us histogram once Stop() has joined the workers.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional per-query spans ("serve" category). Workers record them into
   /// bounded per-worker shards, which Stop flushes here.
@@ -232,9 +233,9 @@ class GraphService {
   }
 
   /// Lets the workers drain what is published, joins them, flushes their
-  /// serve spans into ServeOptions::tracer and resolves every query still
-  /// queued, or submitted afterwards, with kUnavailable. Idempotent; the
-  /// destructor calls it.
+  /// serve spans into ServeOptions::tracer and their latencies into
+  /// serve_latency_us, and resolves every query still queued, or submitted
+  /// afterwards, with kUnavailable. Idempotent; the destructor calls it.
   void Stop() {
     {
       std::lock_guard<std::mutex> lock(lifecycle_mu_);
@@ -256,6 +257,13 @@ class GraphService {
     workers_.clear();
     if (sharded_ != nullptr) {
       sharded_->Flush();
+    }
+    if (latency_metric_ != nullptr) {
+      // Merged once here, so no answer takes the metric's shared lock.
+      for (const auto& worker : worker_state_) {
+        std::lock_guard<std::mutex> lock(worker->mu);
+        latency_metric_->Merge(worker->latency_us);
+      }
     }
     // closed_ and a submitter's published_ form the same kind of pair as
     // Park's: a query published after this drain's last claim attempt is
@@ -616,9 +624,6 @@ class GraphService {
       {
         std::lock_guard<std::mutex> lock(self.mu);
         self.latency_us.Add(latency_us);
-      }
-      if (latency_metric_ != nullptr) {
-        latency_metric_->Observe(latency_us);
       }
       if (sharded_ != nullptr) {
         const obs::ShardEvent span{

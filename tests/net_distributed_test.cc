@@ -5,6 +5,7 @@
 // flush. Every test forks real OS processes and moves real bytes over
 // localhost TCP.
 
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
@@ -395,7 +397,9 @@ TEST(NetDistributedTest, InjectedStallIsFlaggedOnlineWithoutAborting) {
   // detector's floor pulled down to 60ms, the other workers' heartbeats
   // keep the coordinator's event loop ticking while it waits, so the stall
   // must be flagged online — and the round must still complete normally
-  // once the sleeper wakes: a straggler is an alert, not a fault.
+  // once the sleeper wakes: a straggler is an alert, not a fault. The other
+  // workers report that they wait at the round's barrier, so only the
+  // sleeper is flagged.
   EngineOptions options;
   options.engine = EngineKind::kDistributed;
   options.propagation = config;
@@ -422,9 +426,15 @@ TEST(NetDistributedTest, InjectedStallIsFlaggedOnlineWithoutAborting) {
   ASSERT_TRUE(result->cluster.has_value());
   const obs::JsonValue* flagged = result->cluster->Find("stragglers_flagged");
   ASSERT_NE(flagged, nullptr);
-  EXPECT_GE(flagged->as_number(), 1.0);
-  // The live status table the sink streamed marked the sleeper.
+  EXPECT_EQ(flagged->as_number(), 1.0);
+  // The live status table the sink streamed marked the sleeper, and only it.
   EXPECT_NE(status_tables.find("STRAGGLE"), std::string::npos);
+  std::istringstream rows(status_tables);
+  for (std::string row; std::getline(rows, row);) {
+    if (row.find("STRAGGLE") != std::string::npos) {
+      EXPECT_EQ(row.rfind("2 ", 0), 0u) << row;
+    }
+  }
 
   // The cluster critical path covers every round the coordinator drove,
   // and clock sync produced offset-corrected link samples.
@@ -637,6 +647,97 @@ TEST(NetDistributedTest, ClockSyncedTracesMergeWithOffsetAlignment) {
   const std::filesystem::path cluster = dir / "dist_cluster.report.json";
   ASSERT_TRUE(std::filesystem::exists(cluster)) << cluster;
   std::filesystem::remove_all(dir);
+}
+
+// A fault-free job runs the fixed schedule: one coordinator round per stage,
+// every task once, and no child left unreaped when Run() returns.
+TEST(NetDistributedTest, FaultFreeJobRunsTheFixedScheduleAndReapsEveryChild) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const int iterations = 3;
+  EngineOptions options;
+  options.engine = EngineKind::kDistributed;
+  options.propagation = ConfigFor(OptimizationLevel::kO4, iterations);
+  options.distributed.max_processes = 3;
+  auto result =
+      RunViaEngine(setup, NetworkRankingApp(f.graph.num_vertices()), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const runtime::RuntimeStats& stats = *result->runtime_stats;
+  const uint64_t partitions = setup.graph->num_partitions();
+  EXPECT_EQ(stats.barrier_generations, 2u * iterations);
+  EXPECT_EQ(stats.tasks_reexecuted, 0u);
+  EXPECT_EQ(stats.tasks_executed, 2u * iterations * partitions);
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+/// The cluster block's count of control frames the coordinator read of one
+/// type.
+double ControlFramesRead(const obs::JsonValue& cluster, const char* type) {
+  const obs::JsonValue* frames = cluster.Find("control_frames_read");
+  if (frames == nullptr) {
+    ADD_FAILURE() << "cluster block has no control_frames_read";
+    return -1.0;
+  }
+  const obs::JsonValue* count = frames->Find(type);
+  if (count == nullptr) {
+    ADD_FAILURE() << "control_frames_read has no " << type;
+    return -1.0;
+  }
+  return count->as_number();
+}
+
+// The coordinator attributes its own time to five phases that fit inside
+// the executor's wall time, and reads per-task kTaskDone frames only from a
+// fault-tolerant run.
+TEST(NetDistributedTest, CoordinatorPhasesFitTheWallAndTaskFramesNeedFaults) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  EngineOptions options;
+  options.engine = EngineKind::kDistributed;
+  options.propagation = ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+  options.distributed.max_processes = 3;
+  auto clean =
+      RunViaEngine(setup, NetworkRankingApp(f.graph.num_vertices()), options);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_TRUE(clean->cluster.has_value());
+  const obs::JsonValue* phases = clean->cluster->Find("coordinator_s");
+  ASSERT_NE(phases, nullptr);
+  double phase_sum = 0.0;
+  for (const char* phase :
+       {"spawn", "handshake", "rounds", "finalize", "reap"}) {
+    const obs::JsonValue* seconds = phases->Find(phase);
+    ASSERT_NE(seconds, nullptr) << phase;
+    EXPECT_GE(seconds->as_number(), 0.0) << phase;
+    phase_sum += seconds->as_number();
+  }
+  EXPECT_GT(phases->Find("rounds")->as_number(), 0.0);
+  EXPECT_LE(phase_sum, clean->runtime_stats->wall_seconds);
+  EXPECT_EQ(ControlFramesRead(*clean->cluster, "task_done"), 0.0);
+  EXPECT_EQ(ControlFramesRead(*clean->cluster, "round_done"),
+            3.0 * static_cast<double>(
+                      clean->runtime_stats->barrier_generations));
+  EXPECT_EQ(ControlFramesRead(*clean->cluster, "final_done"), 3.0);
+  obs::JsonValue report = obs::JsonValue::MakeObject();
+  report.Set("name", "surfer_dist_cluster");
+  report.Set("schema_version", obs::kRunReportSchemaVersion);
+  report.Set("cluster", *clean->cluster);
+  const Status valid = obs::ValidateRunReport(report);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+
+  options.distributed.max_processes = 8;
+  runtime::RuntimeFaultPlan plan;
+  plan.machine = 2;
+  plan.iteration = 1;
+  plan.stage = runtime::RuntimeStage::kTransfer;
+  plan.after_tasks = 1;
+  options.distributed.faults.push_back(plan);
+  auto faulted =
+      RunViaEngine(setup, NetworkRankingApp(f.graph.num_vertices()), options);
+  ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
+  ASSERT_TRUE(faulted->cluster.has_value());
+  EXPECT_GT(ControlFramesRead(*faulted->cluster, "task_done"), 0.0);
 }
 
 TEST(NetDistributedTest, DeathWithoutFaultToleranceAborts) {

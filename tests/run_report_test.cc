@@ -394,6 +394,68 @@ TEST(RunReportTest, ValidateRejectsMalformedTelemetryBlock) {
   }
 }
 
+TEST(RunReportTest, ValidateChecksTheClusterBlocksCoordinatorKeys) {
+  obs::JsonValue base = obs::JsonValue::MakeObject();
+  base.Set("schema_version", obs::kRunReportSchemaVersion);
+  base.Set("name", "x");
+  const auto with_cluster = [&base](const char* text) {
+    obs::JsonValue report = base;
+    auto parsed = obs::ParseJson(text);
+    EXPECT_TRUE(parsed.ok()) << text;
+    report.Set("cluster", std::move(*parsed));
+    return report;
+  };
+
+  EXPECT_TRUE(obs::ValidateRunReport(with_cluster(
+                  R"({"stragglers_flagged": 0,
+                      "coordinator_s": {"spawn": 0.001, "handshake": 0.001,
+                                        "rounds": 0.02, "finalize": 0.001,
+                                        "reap": 0.0005},
+                      "control_frames_read": {"task_done": 0,
+                                              "round_done": 60}})"))
+                  .ok());
+  // A cluster block without the coordinator's phases.
+  EXPECT_FALSE(obs::ValidateRunReport(with_cluster(
+                   R"({"stragglers_flagged": 0,
+                       "control_frames_read": {"round_done": 60}})"))
+                   .ok());
+  // A phase missing, or negative.
+  EXPECT_FALSE(obs::ValidateRunReport(with_cluster(
+                   R"({"stragglers_flagged": 0,
+                       "coordinator_s": {"spawn": 0.001, "handshake": 0.001,
+                                         "rounds": 0.02, "finalize": 0.001},
+                       "control_frames_read": {"round_done": 60}})"))
+                   .ok());
+  EXPECT_FALSE(obs::ValidateRunReport(with_cluster(
+                   R"({"stragglers_flagged": 0,
+                       "coordinator_s": {"spawn": 0.001, "handshake": 0.001,
+                                         "rounds": 0.02, "finalize": 0.001,
+                                         "reap": -1},
+                       "control_frames_read": {"round_done": 60}})"))
+                   .ok());
+  // Frame counts missing, empty, or not a count.
+  EXPECT_FALSE(obs::ValidateRunReport(with_cluster(
+                   R"({"stragglers_flagged": 0,
+                       "coordinator_s": {"spawn": 0, "handshake": 0,
+                                         "rounds": 0, "finalize": 0,
+                                         "reap": 0}})"))
+                   .ok());
+  EXPECT_FALSE(obs::ValidateRunReport(with_cluster(
+                   R"({"stragglers_flagged": 0,
+                       "coordinator_s": {"spawn": 0, "handshake": 0,
+                                         "rounds": 0, "finalize": 0,
+                                         "reap": 0},
+                       "control_frames_read": {}})"))
+                   .ok());
+  EXPECT_FALSE(obs::ValidateRunReport(with_cluster(
+                   R"({"stragglers_flagged": 0,
+                       "coordinator_s": {"spawn": 0, "handshake": 0,
+                                         "rounds": 0, "finalize": 0,
+                                         "reap": 0},
+                       "control_frames_read": {"task_done": "none"}})"))
+                   .ok());
+}
+
 TEST(RunReportTest, ValidateRejectsMalformedTimelineBlock) {
   obs::JsonValue base = obs::JsonValue::MakeObject();
   base.Set("schema_version", obs::kRunReportSchemaVersion);

@@ -533,6 +533,11 @@ TEST(GraphServiceTest, ConcurrentClientsUnderSmallAdmissionWindow) {
   }
   EXPECT_EQ(exported_queries,
             static_cast<uint64_t>(kClients * kQueriesPerClient));
+  // serve_latency_us is filled from the workers' own histograms when Stop
+  // joins them, once: a second Stop adds nothing.
+  (*service)->Stop();
+  EXPECT_EQ(metrics.HistogramRef("serve_latency_us").Snapshot().count(),
+            stats.completed);
 }
 
 // Stop lands while four clients are still submitting, and the clients send

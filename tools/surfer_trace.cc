@@ -174,6 +174,22 @@ void PrintCluster(const JsonValue& report) {
               links != nullptr && links->is_array() ? links->as_array().size()
                                                     : 0,
               stragglers);
+  if (const JsonValue* phases = cluster->Find("coordinator_s");
+      phases != nullptr && phases->is_object()) {
+    std::printf("coordinator:");
+    for (const auto& [phase, seconds] : phases->as_object()) {
+      std::printf(" %s %.6fs", phase.c_str(), NumberOr(&seconds, 0));
+    }
+    std::printf("\n");
+  }
+  if (const JsonValue* frames = cluster->Find("control_frames_read");
+      frames != nullptr && frames->is_object()) {
+    std::printf("control frames read:");
+    for (const auto& [type, count] : frames->as_object()) {
+      std::printf(" %s %.0f", type.c_str(), NumberOr(&count, 0));
+    }
+    std::printf("\n");
+  }
   const JsonValue* critical = cluster->Find("critical_path");
   const JsonValue* steps =
       critical != nullptr ? critical->Find("steps") : nullptr;
