@@ -45,7 +45,7 @@ struct CompositeSmallWorldOptions {
   VertexId vertices_per_component = 1 << 12;
   uint64_t edges_per_component = 1 << 15;
   double rewire_ratio = 0.05;  ///< the paper's default p_r = 5%
-  RmatOptions component_rmat;  ///< shape of each component (sizes overridden)
+  RmatOptions component_rmat{};  ///< shape of each component (sizes overridden)
   uint64_t seed = 42;
 };
 Result<Graph> GenerateCompositeSmallWorld(

@@ -213,8 +213,8 @@ Status ValidateRunReport(const JsonValue& report) {
     SURFER_RETURN_IF_ERROR(
         Expect(provenance->is_object(), "provenance must be an object"));
     for (const char* key : {"timestamp", "hostname", "build_type"}) {
-      const JsonValue* v = provenance->Find(key);
-      SURFER_RETURN_IF_ERROR(Expect(v != nullptr && v->is_string(),
+      const JsonValue* field = provenance->Find(key);
+      SURFER_RETURN_IF_ERROR(Expect(field != nullptr && field->is_string(),
                                     std::string("provenance.") + key));
     }
     SURFER_RETURN_IF_ERROR(RequireNumber(*provenance, "host_cores"));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <tuple>
 
 #include "common/logging.h"
@@ -27,6 +26,10 @@ constexpr VertexId kIntraParallelMinVertices = 4096;
 /// passes.
 constexpr size_t kFmStallMinMoves = 50;
 constexpr VertexId kFmStallDivisor = 4;
+
+/// FM passes each GGGP trial gets before the best trial is picked; only the
+/// winner goes on to the full `refine_passes` (DESIGN.md Section 10).
+constexpr uint32_t kTrialRefinePasses = 2;
 
 int64_t CutWeightRange(const WeightedGraph& graph,
                        const std::vector<uint8_t>& side, VertexId begin,
@@ -114,6 +117,53 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
     }
   }
 
+  // Two-hop matching (LaSalle et al., IA3 2015): a vertex left single has
+  // only matched neighbors, so heavy-edge matching can never pair it. Pair
+  // singles that share a neighbor instead (leaves of one hub, twins,
+  // relatives): each single claims the first neighbor whose `waiting` slot
+  // holds a live single, or else parks itself in every neighbor's slot for a
+  // later single to find. Only singles' adjacencies are scanned.
+  std::vector<VertexId> waiting(n, kInvalidVertex);
+  for (VertexId u : order) {
+    if (match[u] != u) {
+      continue;
+    }
+    const auto nbrs = graph.Neighbors(u);
+    VertexId mate = kInvalidVertex;
+    for (VertexId h : nbrs) {
+      const VertexId w = waiting[h];
+      if (w != kInvalidVertex && match[w] == w) {
+        mate = w;
+        break;
+      }
+    }
+    if (mate != kInvalidVertex) {
+      match[u] = mate;
+      match[mate] = u;
+      continue;
+    }
+    for (VertexId h : nbrs) {
+      waiting[h] = u;
+    }
+  }
+
+  // Isolated vertices, still single, share no neighbor either: pair them
+  // with each other, which costs no cut and keeps them from stalling the
+  // coarsening.
+  VertexId isolated = kInvalidVertex;
+  for (VertexId u : order) {
+    if (graph.offsets[u] != graph.offsets[u + 1]) {
+      continue;
+    }
+    if (isolated == kInvalidVertex) {
+      isolated = u;
+    } else {
+      match[u] = isolated;
+      match[isolated] = u;
+      isolated = kInvalidVertex;
+    }
+  }
+
   // Assign coarse IDs (pair representative = smaller fine ID) and bucket the
   // fine vertices by coarse vertex in one flat CSR: members[member_begin[c],
   // member_begin[c + 1]) in ascending fine-ID order. A vertex still
@@ -151,8 +201,11 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
   coarse.offsets.assign(next_coarse + 1, 0);
   // Merges one coarse vertex's adjacency: accumulate edge weights from all
   // members into `accumulator` (dense, 64-bit, reset after use), emit
-  // neighbors in sorted coarse-ID order. Each coarse vertex is independent
-  // of the others, which is what the sharded build below exploits.
+  // neighbors in first-touch order (members in ascending fine ID, each in
+  // its CSR order). Sorting the lists by coarse ID cost three times the rest
+  // of the coarsening and nothing reads them in order. Each coarse vertex is
+  // independent of the others, which is what the sharded build below
+  // exploits.
   auto merge_adjacency = [&graph, &members, &member_begin, fine_to_coarse](
                              VertexId c, std::vector<int64_t>& accumulator,
                              std::vector<VertexId>& touched,
@@ -174,7 +227,6 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
         accumulator[cn] += weights[i];
       }
     }
-    std::sort(touched.begin(), touched.end());
     for (VertexId cn : touched) {
       SURFER_CHECK(accumulator[cn] <= kMaxEdgeWeight)
           << "merged edge weight " << accumulator[cn]
@@ -274,6 +326,111 @@ SideWeights ComputeSideWeights(const WeightedGraph& graph, VertexId v,
   return sw;
 }
 
+/// The move queue of FM and the frontier of GGGP: a binary max-heap of
+/// vertices ordered by (gain, vertex ID), with each vertex's heap slot
+/// tracked, so a gain update sifts the vertex's one entry in place instead
+/// of pushing a fresh entry and leaving the old one to be skipped as stale.
+/// (gain, ID) pairs are distinct, so the pop sequence depends only on the
+/// gains, never on the heap's layout.
+class GainHeap {
+ public:
+  explicit GainHeap(const std::vector<int64_t>& gain)
+      : gain_(gain), slot_(gain.size(), kAbsent) {
+    vertices_.reserve(gain.size());
+  }
+
+  bool empty() const { return vertices_.empty(); }
+
+  /// Holds every vertex, ordered by the current gains, after an O(n) build.
+  void Fill() {
+    const VertexId n = static_cast<VertexId>(gain_.size());
+    vertices_.resize(n);
+    for (VertexId v = 0; v < n; ++v) {
+      vertices_[v] = v;
+      slot_[v] = v;
+    }
+    for (VertexId i = n / 2; i-- > 0;) {
+      SiftDown(i);
+    }
+  }
+
+  VertexId PopMax() {
+    const VertexId top = vertices_.front();
+    slot_[top] = kAbsent;
+    const VertexId last = vertices_.back();
+    vertices_.pop_back();
+    if (!vertices_.empty()) {
+      Place(last, 0);
+      SiftDown(0);
+    }
+    return top;
+  }
+
+  /// Restores the order after gain_[v] changed, inserting v if a pop took it
+  /// out.
+  void Update(VertexId v) {
+    if (slot_[v] == kAbsent) {
+      vertices_.push_back(v);
+      slot_[v] = static_cast<VertexId>(vertices_.size() - 1);
+    }
+    SiftUp(slot_[v]);
+    SiftDown(slot_[v]);
+  }
+
+  void Clear() {
+    for (VertexId v : vertices_) {
+      slot_[v] = kAbsent;
+    }
+    vertices_.clear();
+  }
+
+ private:
+  static constexpr VertexId kAbsent = kInvalidVertex;
+
+  bool Above(VertexId a, VertexId b) const {
+    return gain_[a] > gain_[b] || (gain_[a] == gain_[b] && a > b);
+  }
+  void Place(VertexId v, VertexId i) {
+    vertices_[i] = v;
+    slot_[v] = i;
+  }
+  void SiftUp(VertexId i) {
+    const VertexId v = vertices_[i];
+    while (i > 0) {
+      const VertexId parent = (i - 1) / 2;
+      if (!Above(v, vertices_[parent])) {
+        break;
+      }
+      Place(vertices_[parent], i);
+      i = parent;
+    }
+    Place(v, i);
+  }
+  void SiftDown(VertexId i) {
+    const VertexId size = static_cast<VertexId>(vertices_.size());
+    const VertexId v = vertices_[i];
+    while (true) {
+      VertexId child = 2 * i + 1;
+      if (child >= size) {
+        break;
+      }
+      if (child + 1 < size && Above(vertices_[child + 1], vertices_[child])) {
+        ++child;
+      }
+      if (!Above(vertices_[child], v)) {
+        break;
+      }
+      Place(vertices_[child], i);
+      i = child;
+    }
+    Place(v, i);
+  }
+
+  const std::vector<int64_t>& gain_;
+  std::vector<VertexId> vertices_;
+  std::vector<VertexId> slot_;
+};
+
 void FillResult(const WeightedGraph& graph, BisectionResult* result,
                 ThreadPool* pool) {
   result->cut_weight = ComputeCutWeight(graph, result->side, pool);
@@ -299,14 +456,20 @@ BisectionResult InitialBisection(const WeightedGraph& graph,
   const int64_t target = total / 2;
   Rng rng(options.seed);
 
+  // Every trial gets a short FM polish, enough to rank the trials; only the
+  // winner is refined for the rest of `refine_passes`.
+  BisectionOptions trial_options = options;
+  trial_options.refine_passes =
+      std::min(kTrialRefinePasses, options.refine_passes);
+  bool best_converged = true;
   const uint32_t trials = std::max<uint32_t>(1, options.gggp_trials);
   for (uint32_t trial = 0; trial < trials; ++trial) {
     std::vector<uint8_t> side(n, 1);  // grow region "0" out of side 1
     const VertexId seed_vertex = static_cast<VertexId>(rng.Uniform(n));
-    // gain[v] = (edges into region) - (edges out of region); lazily updated
-    // via a max-heap of (gain, v) with stale-entry skipping.
+    // gain[v] = (edges into region) - (edges out of region), kept for the
+    // frontier: the vertices outside the region with a neighbor inside.
     std::vector<int64_t> gain(n, std::numeric_limits<int64_t>::min());
-    std::priority_queue<std::pair<int64_t, VertexId>> frontier;
+    GainHeap frontier(gain);
     int64_t region_weight = 0;
     VertexId first_unassigned = 0;
 
@@ -327,23 +490,14 @@ BisectionResult InitialBisection(const WeightedGraph& graph,
           } else {
             gain[u] += 2 * int64_t{weights[i]};
           }
-          frontier.emplace(gain[u], u);
+          frontier.Update(u);
         }
       }
     };
 
     add_to_region(seed_vertex);
     while (region_weight < target) {
-      VertexId pick = kInvalidVertex;
-      while (!frontier.empty()) {
-        auto [g, v] = frontier.top();
-        frontier.pop();
-        if (side[v] == 0 || g != gain[v]) {
-          continue;  // stale
-        }
-        pick = v;
-        break;
-      }
+      VertexId pick = frontier.empty() ? kInvalidVertex : frontier.PopMax();
       if (pick == kInvalidVertex) {
         // Disconnected remainder: jump to the first vertex still on side 1.
         // Vertices never leave the region, so the cursor is monotone across
@@ -363,12 +517,24 @@ BisectionResult InitialBisection(const WeightedGraph& graph,
     BisectionResult candidate;
     candidate.side = std::move(side);
     FillResult(graph, &candidate, options.pool);
-    FmRefine(graph, options, &candidate);
+    // FmRefine stops early on a pass that finds no improvement, so fewer
+    // improving passes than allowed means it has converged.
+    const bool converged = FmRefine(graph, trial_options, &candidate) <
+                           trial_options.refine_passes;
     if (candidate.cut_weight < best.cut_weight ||
         (candidate.cut_weight == best.cut_weight &&
          candidate.Imbalance() < best.Imbalance())) {
       best = std::move(candidate);
+      best_converged = converged;
     }
+  }
+  if (!best_converged) {
+    // Each FmRefine pass starts from the sides alone, so a second call
+    // continues the winner's refinement exactly where its trial stopped.
+    BisectionOptions winner_options = options;
+    winner_options.refine_passes =
+        options.refine_passes - trial_options.refine_passes;
+    FmRefine(graph, winner_options, &best);
   }
   return best;
 }
@@ -397,25 +563,18 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
     return std::make_tuple(overweight > 0 ? 1 : 0, overweight, cut);
   };
 
-  // Pass state, allocated once and reset by every pass. `heap` is a binary
-  // max-heap (std::push_heap / std::pop_heap under std::less) whose storage
-  // keeps its capacity from pass to pass.
+  // Pass state, allocated once and reset by every pass.
   std::vector<int64_t> gain(n);
   std::vector<uint8_t> moved(n, 0);
-  std::vector<std::pair<int64_t, VertexId>> heap;
-  heap.reserve(n);
+  GainHeap heap(gain);
   std::vector<VertexId> move_sequence;
   move_sequence.reserve(n);
 
   for (uint32_t pass = 0; pass < options.refine_passes; ++pass) {
     // gain[v] = cut reduction from moving v to the other side. Computing the
     // initial gains is the pass's only O(E) scan, and each vertex's gain is
-    // independent, so it shards over the pool; the heap is then built from
-    // the full entry vector in one shot. A binary heap's pop sequence is a
-    // function of its *contents* (equal maxima are equal pairs), not of its
-    // internal layout, so make_heap here and a one-push-per-vertex loop pop
-    // identically.
-    heap.resize(n);
+    // independent, so it shards over the pool; the heap is then built over
+    // all of them in one shot.
     ParallelForChunked(n < kIntraParallelMinVertices ? nullptr : options.pool,
                        n, /*grain=*/1024, [&](size_t begin, size_t end) {
                          for (size_t i = begin; i < end; ++i) {
@@ -423,10 +582,9 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
                            const SideWeights sw =
                                ComputeSideWeights(graph, v, side);
                            gain[v] = sw.other - sw.same;
-                           heap[i] = {gain[v], v};
                          }
                        });
-    std::make_heap(heap.begin(), heap.end());
+    heap.Fill();
 
     int64_t side_weight[2] = {result->side_weight[0], result->side_weight[1]};
     int64_t current_cut = result->cut_weight;
@@ -438,17 +596,14 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
     size_t moves_to_best = 0;
 
     while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end());
-      const auto [g, v] = heap.back();
-      heap.pop_back();
-      if (moved[v] || g != gain[v]) {
-        continue;
-      }
+      const VertexId v = heap.PopMax();
+      const int64_t g = gain[v];
       const uint8_t from = side[v];
       const uint8_t to = 1 - from;
       // Classic FM balance rule: a move may overshoot the budget by at most
       // the moved vertex itself (side already over budget rejects), unless
-      // it drains the heavier side.
+      // it drains the heavier side. A rejected vertex stays out of the heap
+      // until a neighbor's move changes its gain.
       if (side_weight[to] > max_side && side_weight[to] >= side_weight[from]) {
         continue;
       }
@@ -480,8 +635,7 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
         } else {
           gain[u] += 2 * int64_t{weights[i]};
         }
-        heap.emplace_back(gain[u], u);
-        std::push_heap(heap.begin(), heap.end());
+        heap.Update(u);
       }
       // Bound pass length: after n moves everything flipped once, and a
       // pass stall_limit moves past its best prefix rarely climbs back.
@@ -500,7 +654,7 @@ uint32_t FmRefine(const WeightedGraph& graph, const BisectionOptions& options,
       moved[v] = 0;
     }
     move_sequence.clear();
-    heap.clear();
+    heap.Clear();
     result->cut_weight = best_cut;
     result->side_weight[0] = best_side_weight[0];
     result->side_weight[1] = best_side_weight[1];

@@ -11,8 +11,9 @@ namespace surfer {
 class ThreadPool;
 
 /// Options for one multilevel graph bisection (Appendix A.2): coarsening via
-/// heavy-edge matching, initial partitioning via GGGP (greedy graph growing),
-/// and FM boundary refinement during uncoarsening.
+/// heavy-edge matching completed by two-hop and isolated-vertex matching,
+/// initial partitioning via GGGP (greedy graph growing), and FM boundary
+/// refinement during uncoarsening.
 struct BisectionOptions {
   /// Allowed imbalance: each side's weight stays within
   /// (1 + balance_epsilon) * total / 2 whenever achievable.
@@ -21,12 +22,14 @@ struct BisectionOptions {
   /// ("the scale of thousands of vertices" per the paper; smaller is fine
   /// for our graph sizes).
   uint32_t coarsen_target = 256;
-  /// Number of random GGGP seed growths; the best cut wins.
+  /// Number of random GGGP seed growths; each gets at most two FM passes,
+  /// and the best cut wins.
   uint32_t gggp_trials = 8;
-  /// Maximum FM passes at each uncoarsening level. Each pass is bounded: it
-  /// stops after n moves, or once max(50, n / 4) moves have gone by without
-  /// beating its best prefix (n = vertices being refined), and refinement
-  /// stops after the first pass that does not improve.
+  /// Maximum FM passes at each uncoarsening level, and for the winning GGGP
+  /// trial. Each pass is bounded: it stops after n moves, or once
+  /// max(50, n / 4) moves have gone by without beating its best prefix
+  /// (n = vertices being refined), and refinement stops after the first pass
+  /// that does not improve.
   uint32_t refine_passes = 8;
   uint64_t seed = 1;
   /// Optional worker pool (not owned; may be null) for intra-bisection
@@ -70,18 +73,24 @@ BisectionResult Bisect(const WeightedGraph& graph,
 
 namespace internal {
 
-/// One level of heavy-edge-matching coarsening. `fine_to_coarse` maps each
-/// fine vertex to its coarse vertex; the coarse graph merges matched pairs,
-/// sums parallel edge weights, and drops intra-pair edges. The matching is
-/// sequential (seeded, order-sensitive); the coarse-graph build shards over
-/// `pool` when given — every coarse vertex's merged adjacency list is
-/// computed independently and stitched in coarse-ID order, so the output is
-/// identical to the sequential build.
+/// One level of coarsening. The matching visits vertices in a seeded shuffle
+/// and pairs each unmatched vertex with its heaviest unmatched neighbor; then
+/// pairs the vertices that left single through a shared neighbor (two-hop:
+/// leaves of one hub, twins, relatives), and the isolated vertices with each
+/// other, so every level roughly halves the graph. `fine_to_coarse` maps
+/// each fine vertex to its coarse vertex; the coarse graph merges matched
+/// pairs, sums parallel edge weights, and drops intra-pair edges. The
+/// matching is sequential (seeded, order-sensitive); the coarse-graph build
+/// shards over `pool` when given — every coarse vertex's merged adjacency
+/// list is computed independently and stitched in coarse-ID order, so the
+/// output is identical to the sequential build.
 WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
                           std::vector<VertexId>* fine_to_coarse,
                           ThreadPool* pool = nullptr);
 
-/// GGGP initial bisection on a (small) graph.
+/// GGGP initial bisection on a (small) graph: `gggp_trials` seeded growths,
+/// each polished by at most two FM passes; the best is refined for the rest
+/// of `refine_passes`.
 BisectionResult InitialBisection(const WeightedGraph& graph,
                                  const BisectionOptions& options);
 

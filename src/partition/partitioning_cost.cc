@@ -74,8 +74,8 @@ struct Recursion {
   // store/refine phases overlap, so a slow group delays the pipeline in
   // proportion to its share rather than gating everything (the same reason
   // the per-group exchange uses the mean over members).
-  std::vector<double> level_time_sum;
-  std::vector<double> level_weight_sum;
+  std::vector<double> level_time_sum{};
+  std::vector<double> level_weight_sum{};
   double local_phase_max = 0.0;
 
   void Visit(const std::vector<MachineId>& group, double bytes,

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_common.h"
 #include "common/random.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -146,6 +147,114 @@ TEST(BisectionDeathTest, CoarseningRejectsMergedWeightAboveTheBound) {
   std::vector<VertexId> map;
   EXPECT_DEATH(internal::CoarsenOnce(wg, 3, &map),
                "exceeds the 32-bit edge-weight bound");
+}
+
+// A star whose center 0 has `leaves` leaves, each joined to it by an edge
+// of weight leaf_weight(i) (i = 1..leaves), followed by `isolated` vertices
+// with no edges. Unit vertex weights.
+template <typename LeafWeight>
+WeightedGraph StarWithIsolated(VertexId leaves, VertexId isolated,
+                               LeafWeight leaf_weight) {
+  WeightedGraph wg;
+  const VertexId n = 1 + leaves + isolated;
+  wg.offsets.assign(n + 1, 0);
+  wg.offsets[1] = leaves;
+  for (VertexId leaf = 1; leaf <= leaves; ++leaf) {
+    wg.neighbors.push_back(leaf);
+    wg.edge_weights.push_back(leaf_weight(leaf));
+  }
+  for (VertexId leaf = 1; leaf <= leaves; ++leaf) {
+    wg.neighbors.push_back(0);
+    wg.edge_weights.push_back(leaf_weight(leaf));
+    wg.offsets[leaf + 1] = wg.offsets[leaf] + 1;
+  }
+  for (VertexId v = leaves + 1; v < n; ++v) {
+    wg.offsets[v + 1] = wg.offsets[v];
+  }
+  wg.vertex_weights.assign(n, 1);
+  return wg;
+}
+
+// Heavy-edge matching pairs the center with one leaf and can pair nothing
+// else: every other leaf's only neighbor is taken, and isolated vertices
+// have none. Two-hop matching pairs the leftover leaves through their shared
+// center, and the isolated vertices with each other.
+TEST(BisectionTest, CoarseningPairsLeavesAndIsolatedVertices) {
+  for (const auto& [leaves, isolated] :
+       {std::pair<VertexId, VertexId>{101, 51}, {64, 64}, {7, 0}, {0, 9}}) {
+    const WeightedGraph wg =
+        StarWithIsolated(leaves, isolated, [](VertexId) { return 1; });
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("leaves=" + std::to_string(leaves) +
+                   " isolated=" + std::to_string(isolated) +
+                   " seed=" + std::to_string(seed));
+      std::vector<VertexId> map;
+      const WeightedGraph coarse = internal::CoarsenOnce(wg, seed, &map);
+      EXPECT_LE(coarse.num_vertices(),
+                (leaves + 1) / 2 + (isolated + 1) / 2 + 1);
+      EXPECT_EQ(coarse.TotalVertexWeight(), wg.TotalVertexWeight());
+    }
+  }
+}
+
+// Whichever leaf heavy-edge matching gives the center, the other two pair
+// through it, and their coarse edge to the center carries both weights.
+TEST(BisectionTest, TwoHopPairSumsItsEdgesToTheHub) {
+  const WeightedGraph wg = StarWithIsolated(
+      3, 0, [](VertexId leaf) { return static_cast<int32_t>(leaf * leaf); });
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::vector<VertexId> map;
+    const WeightedGraph coarse = internal::CoarsenOnce(wg, seed, &map);
+    ASSERT_EQ(coarse.num_vertices(), 2u);
+    int32_t pair_weight = 0;
+    for (VertexId leaf = 1; leaf <= 3; ++leaf) {
+      if (map[leaf] != map[0]) {
+        pair_weight += static_cast<int32_t>(leaf * leaf);
+      }
+    }
+    ASSERT_EQ(coarse.edge_weights.size(), 2u);
+    EXPECT_EQ(coarse.edge_weights[0], pair_weight);
+    EXPECT_EQ(coarse.edge_weights[1], pair_weight);
+  }
+}
+
+TEST(BisectionDeathTest, TwoHopPairRejectsMergedWeightAboveTheBound) {
+  const WeightedGraph wg = StarWithIsolated(3, 0, [](VertexId) {
+    return static_cast<int32_t>(kMaxEdgeWeight);
+  });
+  std::vector<VertexId> map;
+  EXPECT_DEATH(internal::CoarsenOnce(wg, 3, &map),
+               "exceeds the 32-bit edge-weight bound");
+}
+
+// Bisect's coarsening loop on the benchmark graph: coarsen with
+// MixSeed(seed, depth) until the graph is within coarsen_target or a level
+// keeps 95% of its vertices. A quarter to a third of that graph's vertices
+// are isolated or leaves, which stalled heavy-edge matching alone far above
+// the target; the loop must now end within twice the target.
+TEST(BisectionTest, BenchGraphCoarsensToWithinTwiceTheTarget) {
+  for (const uint32_t log_n : {14u, 16u}) {
+    SCOPED_TRACE("num_vertices=2^" + std::to_string(log_n));
+    bench::BenchGraphOptions graph_options;
+    graph_options.num_vertices = VertexId{1} << log_n;
+    WeightedGraph graph =
+        WeightedGraph::FromDataGraph(bench::MakeBenchGraph(graph_options));
+    const BisectionOptions options;
+    uint32_t depth = 0;
+    while (graph.num_vertices() > options.coarsen_target) {
+      std::vector<VertexId> map;
+      WeightedGraph coarse = internal::CoarsenOnce(
+          graph, MixSeed(options.seed, depth), &map);
+      if (coarse.num_vertices() >=
+          static_cast<VertexId>(0.95 * graph.num_vertices())) {
+        break;
+      }
+      graph = std::move(coarse);
+      ++depth;
+    }
+    EXPECT_LE(graph.num_vertices(), 2 * options.coarsen_target);
+  }
 }
 
 // Side weights summed from scratch, for checking a result's recorded ones.

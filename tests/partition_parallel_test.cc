@@ -2,15 +2,19 @@
 // produce exactly the same assignment and sketch cuts at every thread count,
 // including the sequential num_threads = 0 path. The fixtures stress the
 // shapes that break naive parallel partitioners: power-law degree skew
-// (uneven subtree sizes), stars (coarsening stalls, one giant vertex), grids
-// (deep balanced recursion), and disconnected graphs (the GGGP frontier
-// empties and the first-unassigned cursor takes over).
+// (uneven subtree sizes), stars (one giant vertex), grids (deep balanced
+// recursion), disconnected graphs (the GGGP frontier empties and the
+// first-unassigned cursor takes over), and leafy power-law graphs (most
+// coarsening pairs come from two-hop and isolated-vertex matching).
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -26,6 +30,36 @@ Graph PowerLawGraph(uint64_t seed = 3) {
       {.num_vertices = 4096, .num_edges = 32768, .seed = seed});
   EXPECT_TRUE(g.ok());
   return std::move(g).value();
+}
+
+// A power-law core, milder than PowerLawGraph's (whose R-MAT skew leaves
+// ~40% of its vertices with degree 0 or 1), plus 384 leaves hung on random
+// core vertices and 384 isolated vertices: about a fifth of the graph has
+// degree 0 or 1.
+Graph LeafyGraph(uint64_t seed = 5) {
+  constexpr VertexId kCore = 4096;
+  constexpr VertexId kLeaves = 384;
+  constexpr VertexId kIsolated = 384;
+  auto core = GenerateRmat({.num_vertices = kCore,
+                            .num_edges = 65536,
+                            .a = 0.45,
+                            .b = 0.22,
+                            .c = 0.22,
+                            .d = 0.11,
+                            .seed = seed});
+  EXPECT_TRUE(core.ok());
+  GraphBuilder builder(kCore + kLeaves + kIsolated);
+  for (VertexId u = 0; u < kCore; ++u) {
+    for (VertexId v : core->OutNeighbors(u)) {
+      EXPECT_TRUE(builder.AddEdge(u, v).ok());
+    }
+  }
+  Rng rng(seed);
+  for (VertexId leaf = kCore; leaf < kCore + kLeaves; ++leaf) {
+    EXPECT_TRUE(
+        builder.AddEdge(leaf, static_cast<VertexId>(rng.Uniform(kCore))).ok());
+  }
+  return std::move(builder).Build();
 }
 
 Graph StarGraph(VertexId n = 2048) {
@@ -111,6 +145,9 @@ class ParallelPartitionerFixtures
     if (name == "grid") {
       return GridGraph();
     }
+    if (name == "leafy") {
+      return LeafyGraph();
+    }
     return DisconnectedGraph();
   }
 };
@@ -118,7 +155,7 @@ class ParallelPartitionerFixtures
 TEST_P(ParallelPartitionerFixtures, BitIdenticalAcrossThreadCounts) {
   const Graph graph = MakeGraph();
   const RecursivePartitionResult baseline = Partition(graph, /*threads=*/0);
-  for (uint32_t threads : {1u, 2u, 8u}) {
+  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     const RecursivePartitionResult parallel = Partition(graph, threads);
     ExpectIdentical(baseline, parallel,
                     std::string(GetParam()) + " @ " +
@@ -135,8 +172,8 @@ TEST_P(ParallelPartitionerFixtures, RepeatedRunsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ParallelPartitionerFixtures,
                          ::testing::Values("power_law", "star", "grid",
-                                           "disconnected"),
-                         [](const auto& info) { return info.param; });
+                                           "disconnected", "leafy"),
+                         [](const auto& shape) { return shape.param; });
 
 TEST(ParallelPartitionerTest, LargerGraphManyPartitionsBitIdentical) {
   // A bigger power-law instance at 32 partitions crosses the intra-node
@@ -165,9 +202,9 @@ TEST(ParallelPartitionerTest, ParallelFromDataGraphMatchesSequential) {
   EXPECT_EQ(sequential.vertex_weights, parallel.vertex_weights);
 }
 
-TEST(ParallelPartitionerTest, PooledBisectionHelpersMatchSequential) {
-  const Graph graph = PowerLawGraph(27);
-  const WeightedGraph wg = WeightedGraph::FromDataGraph(graph);
+// Every pooled helper of one bisection against its sequential path: cut
+// evaluation, one coarsening level (map and CSR), and a whole Bisect.
+void ExpectPooledHelpersMatchSequential(const WeightedGraph& wg) {
   ThreadPool pool(4);
 
   std::vector<uint8_t> side(wg.num_vertices());
@@ -197,6 +234,15 @@ TEST(ParallelPartitionerTest, PooledBisectionHelpersMatchSequential) {
   EXPECT_EQ(seq_result.cut_weight, par_result.cut_weight);
   EXPECT_EQ(seq_result.side_weight[0], par_result.side_weight[0]);
   EXPECT_EQ(seq_result.side_weight[1], par_result.side_weight[1]);
+}
+
+TEST(ParallelPartitionerTest, PooledBisectionHelpersMatchSequential) {
+  const std::pair<const char*, Graph> graphs[] = {
+      {"power_law", PowerLawGraph(27)}, {"leafy", LeafyGraph(27)}};
+  for (const auto& [name, graph] : graphs) {
+    SCOPED_TRACE(name);
+    ExpectPooledHelpersMatchSequential(WeightedGraph::FromDataGraph(graph));
+  }
 }
 
 TEST(ParallelPartitionerTest, DifferentSeedsStillDiffer) {
