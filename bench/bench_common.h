@@ -5,9 +5,9 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "apps/benchmark_suite.h"
+#include "common/host.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/sim_scale.h"
@@ -126,8 +126,7 @@ inline obs::JsonValue MakeBenchBaseline(const std::string& name, bool smoke) {
   baseline.Set("schema_version", obs::kBenchBaselineSchemaVersion);
   baseline.Set("name", name);
   baseline.Set("smoke", smoke);
-  baseline.Set("host_cores",
-               static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  baseline.Set("host_cores", static_cast<uint64_t>(HostThreads()));
   baseline.Set("provenance", obs::BuildProvenance());
   return baseline;
 }

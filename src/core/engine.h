@@ -51,7 +51,10 @@ enum class EngineKind {
   /// The multi-process DistributedExecutor: one OS process per machine
   /// group, full-mesh TCP transport carrying the serialized wire batches,
   /// BSP barrier over control frames, fault plans realized as real process
-  /// kills with first-alive-replica recovery.
+  /// kills with first-alive-replica recovery. The session forks its worker
+  /// group at its first Run and runs every later job on the same processes
+  /// (re-forming the group after a worker is lost); destroying the Engine
+  /// closes the group.
   kDistributed,
 };
 
@@ -240,16 +243,20 @@ Result<RunAppResult<App>> RunConcurrent(const PartitionedGraph* graph,
   }
 }
 
+/// Runs `app` as a job of `session`, or on a group of its own (formed and
+/// closed around the job) when `session` is null.
 template <typename App>
 Result<RunAppResult<App>> RunDistributed(const PartitionedGraph* graph,
                                          const ReplicatedPlacement* placement,
                                          const Topology* topology, App app,
-                                         const EngineOptions& options) {
+                                         const EngineOptions& options,
+                                         net::DistributedSession* session) {
   if constexpr (net::DistributableApp<App>) {
     net::DistributedExecutor<App> executor(graph, placement, topology,
                                            std::move(app), options.propagation,
                                            options.distributed);
-    SURFER_RETURN_IF_ERROR(executor.Run());
+    SURFER_RETURN_IF_ERROR(session != nullptr ? executor.RunIn(*session)
+                                              : executor.Run());
     RunAppResult<App> result;
     result.states = executor.states();
     result.virtual_outputs = executor.virtual_outputs();
@@ -265,6 +272,7 @@ Result<RunAppResult<App>> RunDistributed(const PartitionedGraph* graph,
     (void)graph;
     (void)placement;
     (void)topology;
+    (void)session;
     // Name the app and exactly which engines *can* run it: everything runs
     // on the analytic engine, and wire-serializable apps whose states are
     // not trivially copyable still run on the threaded runtime.
@@ -281,11 +289,14 @@ Result<RunAppResult<App>> RunDistributed(const PartitionedGraph* graph,
   }
 }
 
+/// Runs `app` on the engine `options` selects; a distributed job runs on
+/// `session` when one is given.
 template <typename App>
 Result<RunAppResult<App>> Dispatch(const PartitionedGraph* graph,
                                    const ReplicatedPlacement* placement,
                                    const Topology* topology, App app,
-                                   const EngineOptions& options) {
+                                   const EngineOptions& options,
+                                   net::DistributedSession* session = nullptr) {
   switch (options.engine) {
     case EngineKind::kAnalytic:
       return RunAnalytic(graph, placement, topology, std::move(app), options,
@@ -295,7 +306,7 @@ Result<RunAppResult<App>> Dispatch(const PartitionedGraph* graph,
                            options);
     case EngineKind::kDistributed:
       return RunDistributed(graph, placement, topology, std::move(app),
-                            options);
+                            options, session);
   }
   return Status::InvalidArgument("unknown engine kind");
 }
@@ -373,7 +384,9 @@ inline Status EngineOptions::Validate() const {
 ///   SURFER_ASSIGN_OR_RETURN(auto service, engine.Serve(serve_options));
 ///
 /// The Engine does not own the graph/placement/topology (they typically live
-/// in a SurferEngine); it owns only the validated options.
+/// in a SurferEngine); it owns the validated options and, for kDistributed,
+/// the session's worker group, which it closes on destruction. An Engine
+/// moves but does not copy.
 class Engine {
  public:
   /// Opens a session. Fails with InvalidArgument when any pointer is null or
@@ -401,12 +414,13 @@ class Engine {
   }
 
   /// Runs one app through the session's engine; see RunAppResult for what
-  /// comes back per engine kind.
+  /// comes back per engine kind. On kDistributed the first Run forks the
+  /// worker group and later Runs reuse it; concurrent Runs serialize.
   template <typename App>
     requires PropagationApp<App>
   Result<RunAppResult<App>> Run(App app) const {
     return internal::Dispatch(graph_, placement_, topology_, std::move(app),
-                              options_);
+                              options_, distributed_.get());
   }
 
   /// Runs one app on an externally owned simulation (fault-injection
@@ -430,8 +444,9 @@ class Engine {
   /// GraphService answering k-hop / partition-local shortest-path / cached
   /// NetworkRanking queries concurrently, with weighted admission control.
   /// The per-vertex rank scores are precomputed here by one batch Run of
-  /// NetworkRankingApp through the session's engine. Defined in
-  /// serve/graph_service.h — include it to call Serve.
+  /// NetworkRankingApp through the session's engine kind (on kDistributed,
+  /// on a worker group of its own, since it runs its own iteration count).
+  /// Defined in serve/graph_service.h — include it to call Serve.
   Result<std::unique_ptr<serve::GraphService>> Serve(
       serve::ServeOptions options) const;
 
@@ -446,12 +461,20 @@ class Engine {
       : graph_(graph),
         placement_(placement),
         topology_(topology),
-        options_(std::move(options)) {}
+        options_(std::move(options)) {
+    if (options_.engine == EngineKind::kDistributed) {
+      distributed_ = std::make_unique<net::DistributedSession>(
+          graph_, placement_, topology_, options_.propagation,
+          options_.distributed);
+    }
+  }
 
   const PartitionedGraph* graph_;
   const ReplicatedPlacement* placement_;
   const Topology* topology_;
   EngineOptions options_;
+  /// The kDistributed session's worker group (null on other engines).
+  std::unique_ptr<net::DistributedSession> distributed_;
 };
 
 }  // namespace surfer

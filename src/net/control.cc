@@ -202,6 +202,22 @@ Result<TaskDoneMsg> DecodeTaskDone(const std::vector<uint8_t>& payload) {
   return msg;
 }
 
+std::vector<uint8_t> EncodeJob(const JobMsg& msg) {
+  std::vector<uint8_t> out;
+  AppendPod(out, msg.kind);
+  out.insert(out.end(), msg.app.begin(), msg.app.end());
+  return out;
+}
+
+Result<JobMsg> DecodeJob(const std::vector<uint8_t>& payload) {
+  PayloadReader reader(payload);
+  JobMsg msg;
+  SURFER_RETURN_IF_ERROR(reader.Read(&msg.kind));
+  msg.app.assign(payload.begin() + static_cast<std::ptrdiff_t>(reader.offset()),
+                 payload.end());
+  return msg;
+}
+
 std::vector<uint8_t> EncodeSeq(const SeqMsg& msg) {
   std::vector<uint8_t> out;
   AppendPod(out, msg.seq);

@@ -65,9 +65,18 @@ struct PlacementMsg {
   uint32_t stall_ms = 0;
 };
 
+/// coordinator -> workers (kJob): start one job on the session's group.
+/// `kind` indexes the worker's table of job entry points, one per app type;
+/// `app` is the job's App value as raw bytes, which the entry point checks
+/// against sizeof(App) before it uses them.
+struct JobMsg {
+  uint32_t kind = 0;
+  std::vector<uint8_t> app;
+};
+
 /// coordinator -> workers: one round of the barrier protocol. `seq` is a
-/// global monotone round counter (EOS frames carry it, so drain progress is
-/// unambiguous across recovery rounds). `exec[p]` names the machine running
+/// monotone round counter over the whole session (EOS frames carry it, so
+/// drain progress is unambiguous across recovery rounds and across jobs). `exec[p]` names the machine running
 /// partition p's task this round (kInvalidMachine = not scheduled);
 /// `route[d]` names the machine to which dst-partition-d traffic must be
 /// sent (transfer and resend rounds); `reexec[q]` names the machine that
@@ -217,6 +226,10 @@ Result<PeersMsg> DecodePeers(const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodePlacement(const PlacementMsg& msg);
 Result<PlacementMsg> DecodePlacement(const std::vector<uint8_t>& payload);
+
+std::vector<uint8_t> EncodeJob(const JobMsg& msg);
+/// The app bytes are the rest of the payload after `kind`.
+Result<JobMsg> DecodeJob(const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodeRound(const RoundMsg& msg);
 Result<RoundMsg> DecodeRound(const std::vector<uint8_t>& payload);

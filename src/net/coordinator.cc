@@ -105,14 +105,16 @@ DistributedCoordinator::DistributedCoordinator(CoordinatorParams params,
                                                WorkerEntry entry)
     : params_(std::move(params)), entry_(std::move(entry)) {}
 
-Result<CoordinatorOutcome> DistributedCoordinator::Run() {
+DistributedCoordinator::~DistributedCoordinator() { Close(); }
+
+Result<CoordinatorOutcome> DistributedCoordinator::RunJob(const JobMsg& job) {
   if (params_.num_processes == 0 || params_.num_machines == 0 ||
       params_.replicas == nullptr || entry_ == nullptr) {
     return Status::InvalidArgument("coordinator params incomplete");
   }
   fault_tolerant_ = params_.placement.fault_tolerant != 0;
   alive_machines_.assign(params_.num_machines, 1);
-  seq_ = 0;
+  machine_failures_ = 0;
   sigterm_delivered_ = false;
   live_.assign(params_.num_processes, LiveProc{});
   round_durations_s_.clear();
@@ -123,12 +125,21 @@ Result<CoordinatorOutcome> DistributedCoordinator::Run() {
   out.worker_reports.assign(params_.num_processes, "");
   out.worker_stats.assign(params_.num_processes, WorkerStatsMsg{});
 
+  Status st;
   auto mark = std::chrono::steady_clock::now();
-  Status st = Spawn();
-  out.phases.spawn_s = SecondsSince(mark);
+  if (!GroupReady()) {
+    // A closed group, or one that lost or broke a worker: (re-)form it.
+    out.phases.reap_s = Close();
+    mark = std::chrono::steady_clock::now();
+    st = Spawn();
+    out.phases.spawn_s = SecondsSince(mark);
+    if (st.ok()) {
+      st = HandshakeAll();
+      out.phases.handshake_s = SecondsSince(mark);
+    }
+  }
   if (st.ok()) {
-    st = HandshakeAll();
-    out.phases.handshake_s = SecondsSince(mark);
+    st = StartJob(job);
   }
   if (st.ok()) {
     st = RunBsp(&out);
@@ -138,9 +149,8 @@ Result<CoordinatorOutcome> DistributedCoordinator::Run() {
     st = Finalize(&out);
     out.phases.finalize_s = SecondsSince(mark);
   }
-  Shutdown();
-  out.phases.reap_s = SecondsSince(mark);
   if (!st.ok()) {
+    Close();
     return st;
   }
   out.alive = alive_machines_;
@@ -148,6 +158,52 @@ Result<CoordinatorOutcome> DistributedCoordinator::Run() {
   out.stragglers_flagged = stragglers_flagged_;
   out.control_frames_read = frames_read_;
   return out;
+}
+
+double DistributedCoordinator::Close() {
+  if (procs_.empty()) {
+    return 0.0;
+  }
+  auto mark = std::chrono::steady_clock::now();
+  // Half-close them all first, so no worker's exit waits on a reap order.
+  for (Proc& proc : procs_) {
+    if (proc.control.valid()) {
+      ::shutdown(proc.control.fd(), SHUT_WR);
+    }
+  }
+  for (Proc& proc : procs_) {
+    ReapChild(proc);
+  }
+  procs_.clear();
+  return SecondsSince(mark);
+}
+
+std::vector<pid_t> DistributedCoordinator::worker_pids() const {
+  std::vector<pid_t> pids;
+  for (const Proc& proc : procs_) {
+    if (proc.alive) {
+      pids.push_back(proc.pid);
+    }
+  }
+  return pids;
+}
+
+bool DistributedCoordinator::GroupReady() const {
+  if (procs_.empty()) {
+    return false;
+  }
+  for (const Proc& proc : procs_) {
+    if (!proc.alive) {
+      return false;
+    }
+    // An idle worker writes nothing, so readable control is an exit (EOF)
+    // or a protocol fault; either way the group is re-formed.
+    pollfd pfd{proc.control.fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, 0) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Status DistributedCoordinator::Spawn() {
@@ -209,6 +265,16 @@ Status DistributedCoordinator::HandshakeAll() {
     if (frame.type != FrameType::kReady) {
       return Status::Internal("expected kReady from worker " +
                               std::to_string(i));
+    }
+  }
+  return Status::OK();
+}
+
+Status DistributedCoordinator::StartJob(const JobMsg& job) {
+  const std::vector<uint8_t> payload = EncodeJob(job);
+  for (uint32_t i = 0; i < procs_.size(); ++i) {
+    if (!WriteFrame(procs_[i].control, FrameType::kJob, payload).ok()) {
+      SURFER_RETURN_IF_ERROR(MarkProcDead(i));
     }
   }
   return Status::OK();
@@ -738,18 +804,6 @@ Status DistributedCoordinator::Finalize(CoordinatorOutcome* out) {
     }
   }
   return Status::OK();
-}
-
-void DistributedCoordinator::Shutdown() {
-  // Half-close them all first, so no worker's exit waits on a reap order.
-  for (Proc& proc : procs_) {
-    if (proc.control.valid()) {
-      ::shutdown(proc.control.fd(), SHUT_WR);
-    }
-  }
-  for (Proc& proc : procs_) {
-    ReapChild(proc);
-  }
 }
 
 }  // namespace net

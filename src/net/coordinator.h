@@ -49,17 +49,22 @@ struct CoordinatorParams {
   std::function<void(const std::string&)> status_sink;
 };
 
-/// Where the coordinator's own wall time went in one run. The five phases
-/// run back to back, so their sum is the time Run() took.
+/// Where the coordinator's own wall time went in one job. The phases run
+/// back to back, so their sum is the time RunJob took (plus Close, for a
+/// one-shot run that closes its group). A job on a group that is already
+/// formed spends nothing in spawn and handshake; reap counts closing a
+/// broken group before re-forming it, and closing the group after a
+/// one-shot job.
 struct CoordinatorPhases {
   double spawn_s = 0.0;      ///< fork every worker
   double handshake_s = 0.0;  ///< hello -> peers + placement -> ready
-  double rounds_s = 0.0;     ///< every BSP round, recovery rounds included
+  double rounds_s = 0.0;     ///< kJob, then every BSP round, recovery included
   double finalize_s = 0.0;   ///< kFinalize to the last worker's kFinalDone
   double reap_s = 0.0;       ///< wait for every worker's exit
 };
 
-/// What a completed coordinator run hands back to the executor.
+/// What a completed job hands back to the executor. Every count is this
+/// job's own, never a session total.
 struct CoordinatorOutcome {
   uint32_t machine_failures = 0;
   uint64_t rounds = 0;           ///< BSP rounds driven (>= 2 per iteration)
@@ -93,9 +98,13 @@ struct CoordinatorOutcome {
 void SetCoordinatorCosts(const CoordinatorOutcome& outcome,
                          obs::JsonValue& cluster);
 
-/// Parent-process side of the distributed engine: forks one worker process
-/// per simulated machine group, runs the setup rendezvous (hello -> peers ->
-/// placement -> ready), then drives the BSP barrier over control frames.
+/// Parent-process side of the distributed engine. It keeps one worker
+/// group per session: the first job forks one worker process per simulated
+/// machine group and runs the setup rendezvous (hello -> peers + placement
+/// -> mesh + clock sync -> ready); every job after it reuses the group. A
+/// job is one kJob frame carrying the app, the BSP rounds over control
+/// frames, and the result collection. Round seqs keep increasing across a
+/// session's jobs, so no job's kEos can satisfy a later job's drain.
 ///
 /// Per stage it assigns every pending partition to its first alive replica
 /// holder and broadcasts a kRound; workers report kRoundDone when their
@@ -109,12 +118,17 @@ void SetCoordinatorCosts(const CoordinatorOutcome& outcome,
 /// recovery: re-assignment rounds for unexecuted tasks, and resend rounds
 /// (retained-batch replay + transfer re-execution) to rebuild the inboxes of
 /// partitions whose holders died before combining. A death in a
-/// non-fault-tolerant run aborts the job instead.
+/// non-fault-tolerant run aborts the job instead. A group that lost a
+/// worker, or whose worker exited or spoke out of turn between jobs, is
+/// closed and re-formed before the next job starts; a failed job closes it.
 ///
-/// A worker exits on its own once it has sent its results (kFinalDone), and
-/// on EOF of its control socket otherwise. Every reap waits for that exit:
-/// the worker holds the only other end of its control socket, so its EOF
-/// there is the exit, and a blocking waitpid follows.
+/// After sending its results (kFinalDone) a worker waits for the next kJob.
+/// It exits on EOF of its control socket: cleanly (0) between jobs, as a
+/// fault (2) inside one. Every reap waits for that exit: the worker holds
+/// the only other end of its control socket, so its EOF there is the exit,
+/// and a blocking waitpid follows.
+///
+/// Not thread-safe: the session that owns it serializes jobs.
 class DistributedCoordinator {
  public:
   /// Runs the worker side in the forked child. Must never return; the child
@@ -122,10 +136,25 @@ class DistributedCoordinator {
   using WorkerEntry = std::function<void(uint32_t proc, Socket control)>;
 
   DistributedCoordinator(CoordinatorParams params, WorkerEntry entry);
+  /// Closes the group.
+  ~DistributedCoordinator();
 
-  /// Spawns, drives, collects, reaps. Always reaps every child before
-  /// returning, also on error.
-  Result<CoordinatorOutcome> Run();
+  DistributedCoordinator(const DistributedCoordinator&) = delete;
+  DistributedCoordinator& operator=(const DistributedCoordinator&) = delete;
+
+  /// Runs one job: forms the group first unless a healthy one is open,
+  /// sends `job`, drives every round, and collects the results. Leaves the
+  /// group open after a job that succeeded, and closes it (reaping every
+  /// child) before returning an error.
+  Result<CoordinatorOutcome> RunJob(const JobMsg& job);
+
+  /// Half-closes every control socket and reaps every child; returns the
+  /// seconds it took. A no-op on a closed group.
+  double Close();
+
+  /// The open group's live worker pids, in process order (empty when
+  /// closed).
+  std::vector<pid_t> worker_pids() const;
 
  private:
   struct Proc {
@@ -141,8 +170,13 @@ class DistributedCoordinator {
     Frame frame;
   };
 
+  /// True when a group is open, every worker is alive and none has written
+  /// to or closed its control socket since the last job.
+  bool GroupReady() const;
   Status Spawn();
   Status HandshakeAll();
+  /// Broadcasts kJob to every live worker.
+  Status StartJob(const JobMsg& job);
   Status RunBsp(CoordinatorOutcome* out);
   Status RunStage(RoundKind stage_kind, int iteration,
                   CoordinatorOutcome* out);
@@ -153,14 +187,13 @@ class DistributedCoordinator {
   /// with no death would have: every task the round assigned is done.
   void MarkRoundTasksDone(const RoundMsg& round);
   Status Finalize(CoordinatorOutcome* out);
-  /// Half-closes every control socket, then reaps every child.
-  void Shutdown();
 
   /// Reads one frame from a worker's control socket and counts it by type.
   Result<Frame> ReadControl(uint32_t proc);
   Result<Event> WaitControlEvent();
   /// Marks a process (and its hosted machines) dead and reaps it. Returns an
-  /// error when the run is not fault tolerant.
+  /// error when the run is not fault tolerant. The group stays short of this
+  /// worker until it is re-formed before the next job.
   Status MarkProcDead(uint32_t proc);
   /// Waits for the child's exit (control EOF, then a blocking waitpid),
   /// killing it if it has not exited within the reap grace period, and
@@ -187,8 +220,9 @@ class DistributedCoordinator {
   WorkerEntry entry_;
   bool fault_tolerant_ = false;
 
-  std::vector<Proc> procs_;
+  std::vector<Proc> procs_;  ///< the open group; empty when closed
   std::vector<uint8_t> alive_machines_;
+  /// Last round seq sent; never reset, so it increases across the session.
   uint32_t seq_ = 0;
   uint32_t machine_failures_ = 0;
   bool sigterm_delivered_ = false;

@@ -2,13 +2,17 @@
 #define SURFER_NET_DISTRIBUTED_H_
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <ranges>
 #include <set>
 #include <string>
@@ -45,12 +49,39 @@ namespace net {
 /// Apps that can run distributed: wire-serializable messages (the mesh
 /// carries WireBatches) plus trivially-copyable vertex states and virtual
 /// outputs, because final results and replication updates cross process
-/// boundaries as raw bytes.
+/// boundaries as raw bytes. The app itself is trivially copyable too: each
+/// job sends it to the session's workers as raw bytes. Those workers were
+/// forked at the session's first job, so a pointer inside an app must point
+/// at memory that already existed then, such as the session's graph.
 template <typename App>
 concept DistributableApp =
     PropagationApp<App> && runtime::WireSerializableApp<App> &&
+    std::is_trivially_copyable_v<App> &&
     std::is_trivially_copyable_v<typename App::VertexState> &&
     std::is_trivially_copyable_v<typename internal::VirtualOutputOf<App>::type>;
+
+/// An app's kJob bytes.
+template <typename App>
+  requires std::is_trivially_copyable_v<App>
+std::vector<uint8_t> EncodeJobApp(const App& app) {
+  std::vector<uint8_t> bytes(sizeof(App));
+  std::memcpy(bytes.data(), &app, sizeof(App));
+  return bytes;
+}
+
+/// Decodes kJob bytes; Corruption unless they are exactly sizeof(App).
+template <typename App>
+  requires std::is_trivially_copyable_v<App>
+Result<App> DecodeJobApp(const std::vector<uint8_t>& bytes) {
+  if (bytes.size() != sizeof(App)) {
+    return Status::Corruption("job app is " + std::to_string(bytes.size()) +
+                              " bytes, expected " +
+                              std::to_string(sizeof(App)));
+  }
+  std::array<std::byte, sizeof(App)> raw;
+  std::memcpy(raw.data(), bytes.data(), sizeof(App));
+  return std::bit_cast<App>(raw);
+}
 
 /// Knobs of the distributed engine.
 struct DistributedOptions {
@@ -101,9 +132,132 @@ struct DistributedOptions {
 
 namespace detail {
 
-/// The worker-process side of the distributed engine: hosts the machines
-/// m % P == proc, executes their rounds as directed by the coordinator, and
-/// exchanges WireBatch data frames with the other workers over the TCP mesh.
+/// A worker process's session-lifetime state: what it was forked with, its
+/// mesh, and what the handshake's placement fixes for every job. Lives
+/// until the process exits; each job's state lives in a DistributedWorker.
+struct WorkerSession {
+  WorkerSession(const PartitionedGraph* graph_in, PropagationConfig config_in,
+                DistributedOptions options_in, uint32_t proc_in,
+                Socket control)
+      : graph(graph_in),
+        config(std::move(config_in)),
+        options(std::move(options_in)),
+        proc(proc_in),
+        transport(proc_in, std::move(control)) {}
+
+  /// Derives the fields below from `placement`; false when it does not fit
+  /// the graph.
+  bool Setup() {
+    num_machines = placement.num_machines;
+    num_partitions = placement.num_partitions;
+    num_procs = transport.num_procs();
+    if (num_partitions != graph->num_partitions() || num_machines == 0 ||
+        placement.replication == 0 ||
+        placement.replicas.size() !=
+            static_cast<size_t>(num_partitions) * placement.replication) {
+      return false;
+    }
+    replicas.assign(num_partitions, {});
+    for (PartitionId p = 0; p < num_partitions; ++p) {
+      for (uint32_t r = 0; r < placement.replication; ++r) {
+        replicas[p].push_back(
+            placement.replicas[static_cast<size_t>(p) * placement.replication +
+                               r]);
+      }
+    }
+    for (MachineId m = 0; m < num_machines; ++m) {
+      if (m % num_procs == proc) {
+        hosted.push_back(m);
+      }
+    }
+    return true;
+  }
+
+  [[noreturn]] void Die() {
+    transport.CloseAll();
+    ::_exit(2);
+  }
+
+  const PartitionedGraph* graph;
+  const PropagationConfig config;
+  const DistributedOptions options;
+  const uint32_t proc;
+  WorkerTransport transport;
+  PlacementMsg placement;
+  uint32_t num_machines = 0;
+  uint32_t num_partitions = 0;
+  uint32_t num_procs = 1;
+  std::vector<std::vector<MachineId>> replicas;
+  std::vector<MachineId> hosted;
+  /// Seq of the last round this process executed, in any job: a round must
+  /// come after it (see RoundMsg::seq).
+  uint32_t last_round_seq = 0;
+};
+
+/// One job's entry point in a worker process: decodes the app from the
+/// kJob bytes and runs the job to its kFinalDone.
+using WorkerJobEntry = void (*)(WorkerSession& session,
+                                const std::vector<uint8_t>& app);
+
+/// Every app type's job entry point, indexed by JobKind<App>::id. Filled
+/// during static initialization, so a worker forked at any time finds every
+/// kind its coordinator can send.
+inline std::vector<WorkerJobEntry>& JobEntries() {
+  static std::vector<WorkerJobEntry> entries;
+  return entries;
+}
+
+inline uint32_t RegisterJobEntry(WorkerJobEntry entry) {
+  JobEntries().push_back(entry);
+  return static_cast<uint32_t>(JobEntries().size() - 1);
+}
+
+template <typename App>
+  requires DistributableApp<App>
+void RunWorkerJob(WorkerSession& session, const std::vector<uint8_t>& app);
+
+template <typename App>
+  requires DistributableApp<App>
+struct JobKind {
+  static const uint32_t id;
+};
+
+template <typename App>
+  requires DistributableApp<App>
+const uint32_t JobKind<App>::id = RegisterJobEntry(&RunWorkerJob<App>);
+
+/// The whole life of a worker process. Handshakes once, then runs every job
+/// the coordinator sends. Never returns: control EOF or SIGTERM between jobs
+/// is a clean exit (0); a protocol failure, or EOF inside a job, exits 2.
+[[noreturn]] inline void RunWorkerProcess(WorkerSession& session) {
+  InstallWorkerSignalHandlers();
+  if (!session.transport.Handshake(&session.placement).ok() ||
+      !session.Setup()) {
+    session.Die();
+  }
+  for (;;) {
+    Result<Frame> frame = session.transport.ReadControl();
+    if (!frame.ok()) {
+      if (frame.status().code() == StatusCode::kUnavailable) {
+        session.transport.CloseAll();
+        ::_exit(0);  // the session closed, or SIGTERM: nothing in flight
+      }
+      session.Die();
+    }
+    if (frame->type != FrameType::kJob) {
+      session.Die();
+    }
+    Result<JobMsg> job = DecodeJob(frame->payload);
+    if (!job.ok() || job->kind >= JobEntries().size()) {
+      session.Die();
+    }
+    JobEntries()[job->kind](session, job->app);
+  }
+}
+
+/// One job's state in a worker process: hosts the machines m % P == proc,
+/// executes their rounds as directed by the coordinator, and exchanges
+/// WireBatch data frames with the other workers over the session's TCP mesh.
 ///
 /// Tasks run through the runtime::PartitionKernel the threaded engine also
 /// uses, so the bit-identity argument is the kernel's: each TCP connection
@@ -125,56 +279,53 @@ class DistributedWorker {
   using Message = typename App::Message;
   using VirtualOutput = typename internal::VirtualOutputOf<App>::type;
 
-  DistributedWorker(const PartitionedGraph* graph, App app,
-                    PropagationConfig config, DistributedOptions options,
-                    uint32_t proc, Socket control)
-      : graph_(graph),
+  DistributedWorker(WorkerSession& session, App app)
+      : session_(session),
+        graph_(session.graph),
         app_(std::move(app)),
-        config_(config),
-        options_(std::move(options)),
-        proc_(proc),
-        transport_(proc, std::move(control)) {}
+        config_(session.config),
+        options_(session.options),
+        proc_(session.proc),
+        transport_(session.transport),
+        num_machines_(session.num_machines),
+        num_partitions_(session.num_partitions),
+        num_procs_(session.num_procs),
+        replicas_(session.replicas),
+        hosted_(session.hosted) {}
 
-  /// Runs the whole worker life cycle. Never returns: every path ends in
-  /// _exit (0 once the results are sent or after SIGTERM, 2 on a fault, a
-  /// protocol failure or the coordinator closing control first).
-  [[noreturn]] void Run() {
-    InstallWorkerSignalHandlers();
+  /// Runs one job, from kJob to kFinalDone. Returns with the process ready
+  /// for the next job; exits instead on a fault plan (2), SIGTERM (0), a
+  /// protocol failure or the coordinator closing control mid-job (2).
+  void Run() {
     tracer_ = std::make_unique<obs::Tracer>();
     trace_origin_unix_us_ = NowUnixUs() - tracer_->WallNowUs();
-    PlacementMsg placement;
-    if (!transport_.Handshake(&placement).ok()) {
-      Die();
-    }
-    if (!Setup(placement)) {
-      Die();
-    }
+    Setup();
     for (;;) {
       Result<Frame> frame = transport_.ReadControl();
       if (!frame.ok()) {
         if (SigtermFlag()->load(std::memory_order_relaxed)) {
           GracefulExit();
         }
-        Die();  // coordinator vanished mid-run
+        Die();  // coordinator vanished mid-job
       }
       switch (frame->type) {
         case FrameType::kRound: {
           Result<RoundMsg> round = DecodeRound(frame->payload);
           if (!round.ok() ||
-              !ValidateRound(*round, num_partitions_, num_machines_).ok()) {
+              !ValidateRound(*round, num_partitions_, num_machines_).ok() ||
+              round->seq <= session_.last_round_seq) {
             Die();
           }
+          session_.last_round_seq = round->seq;
           ExecuteRound(*round);
           break;
         }
         case FrameType::kFinalize:
           Finalize();
-          // Exiting now overlaps this process's exit with the coordinator
-          // collecting the other workers' results.
-          transport_.CloseAll();
-          ::_exit(0);
+          transport_.SetIdleTick(nullptr);
+          return;
         default:
-          break;
+          Die();
       }
     }
   }
@@ -187,21 +338,14 @@ class DistributedWorker {
             .count());
   }
 
-  [[noreturn]] void Die() {
-    transport_.CloseAll();
-    ::_exit(2);
-  }
+  [[noreturn]] void Die() { session_.Die(); }
 
   bool HostedHere(MachineId m) const { return m % num_procs_ == proc_; }
 
-  bool Setup(const PlacementMsg& placement) {
-    num_machines_ = placement.num_machines;
-    num_partitions_ = placement.num_partitions;
-    num_procs_ = transport_.num_procs();
-    if (num_partitions_ != graph_->num_partitions() || num_machines_ == 0 ||
-        placement.replication == 0) {
-      return false;
-    }
+  /// The per-job state: fresh states, stagers, kernel, counters and
+  /// telemetry. The mesh and the placement are the session's.
+  void Setup() {
+    const PlacementMsg& placement = session_.placement;
     fault_tolerant_ = placement.fault_tolerant != 0;
     fault_ = runtime::FaultController(placement.faults);
     heartbeat_period_ms_ = placement.heartbeat_period_ms;
@@ -210,26 +354,12 @@ class DistributedWorker {
     stall_ms_ = placement.stall_ms;
     if (heartbeat_period_ms_ > 0) {
       // Tick from ReadControl's idle poll: heartbeats flow between rounds
-      // from the main thread, the sole writer on the control socket.
+      // from the main thread, the sole writer on the control socket. Run
+      // removes the tick at kFinalDone: no heartbeats between jobs.
       transport_.SetIdleTick([this] { MaybeHeartbeat(); });
     }
-    replicas_.assign(num_partitions_, {});
-    if (placement.replicas.size() !=
-        static_cast<size_t>(num_partitions_) * placement.replication) {
-      return false;
-    }
-    for (PartitionId p = 0; p < num_partitions_; ++p) {
-      for (uint32_t r = 0; r < placement.replication; ++r) {
-        replicas_[p].push_back(
-            placement.replicas[static_cast<size_t>(p) * placement.replication +
-                               r]);
-      }
-    }
-    for (MachineId m = 0; m < num_machines_; ++m) {
-      if (HostedHere(m)) {
-        hosted_.push_back(m);
-      }
-    }
+    tcp_bytes_base_ = transport_.tcp_bytes_sent();
+    tcp_frames_base_ = transport_.tcp_frames_sent();
     wire_combine_ = config_.local_combination && MergeableApp<App>;
     pool_ = std::make_unique<runtime::WireBufferPool>();
     for (MachineId m : hosted_) {
@@ -289,7 +419,6 @@ class DistributedWorker {
       telemetry_->Start();
       pthread_sigmask(SIG_SETMASK, &old, nullptr);
     }
-    return true;
   }
 
   // ------------------------------------------------------------ round driver
@@ -793,7 +922,7 @@ class DistributedWorker {
   void Finalize() {
     CommitPendingStates();
     // The coordinator's finalize drain expects no control traffic after
-    // kFinalDone; stop heartbeating for good before the stats go out.
+    // kFinalDone; stop heartbeating for this job before the stats go out.
     heartbeat_period_ms_ = 0;
     telemetry_->Stop();
     // One RuntimeStats feeds both the counters sent to the coordinator and
@@ -870,14 +999,15 @@ class DistributedWorker {
     }
   }
 
-  /// This worker's RuntimeStats: the tallies kept in stats_ plus the
-  /// stager, pool, transport, telemetry and memory readings taken now.
+  /// This worker's RuntimeStats for this job: the tallies kept in stats_
+  /// plus the stager, pool, telemetry and memory readings taken now, and
+  /// the mesh traffic since Setup (the transport counts the whole session).
   runtime::RuntimeStats LocalStats() {
     runtime::RuntimeStats stats = stats_;
     runtime::ReadEndOfRunStats(std::views::values(stagers_), *pool_,
                                *telemetry_, stats);
-    stats.tcp_bytes_sent = transport_.tcp_bytes_sent();
-    stats.tcp_frames_sent = transport_.tcp_frames_sent();
+    stats.tcp_bytes_sent = transport_.tcp_bytes_sent() - tcp_bytes_base_;
+    stats.tcp_frames_sent = transport_.tcp_frames_sent() - tcp_frames_base_;
     return stats;
   }
 
@@ -938,21 +1068,25 @@ class DistributedWorker {
 
   // -------------------------------------------------------------------------
 
+  WorkerSession& session_;
   const PartitionedGraph* graph_;
   App app_;
-  PropagationConfig config_;
-  DistributedOptions options_;
+  const PropagationConfig& config_;
+  const DistributedOptions& options_;
   const uint32_t proc_;
-  WorkerTransport transport_;
+  WorkerTransport& transport_;
+  const uint32_t num_machines_;
+  const uint32_t num_partitions_;
+  const uint32_t num_procs_;
+  const std::vector<std::vector<MachineId>>& replicas_;
+  const std::vector<MachineId>& hosted_;
 
-  uint32_t num_machines_ = 0;
-  uint32_t num_partitions_ = 0;
-  uint32_t num_procs_ = 1;
   bool fault_tolerant_ = false;
   bool wire_combine_ = false;
   runtime::FaultController fault_;
-  std::vector<std::vector<MachineId>> replicas_;
-  std::vector<MachineId> hosted_;
+  /// The session transport's counters when this job started.
+  uint64_t tcp_bytes_base_ = 0;
+  uint64_t tcp_frames_base_ = 0;
   std::unique_ptr<runtime::WireBufferPool> pool_;
   std::map<MachineId, runtime::WireStager<App>> stagers_;
 
@@ -1002,11 +1136,116 @@ class DistributedWorker {
   double trace_origin_unix_us_ = 0.0;
 };
 
+template <typename App>
+  requires DistributableApp<App>
+void RunWorkerJob(WorkerSession& session, const std::vector<uint8_t>& app) {
+  Result<App> decoded = DecodeJobApp<App>(app);
+  if (!decoded.ok()) {
+    session.Die();
+  }
+  DistributedWorker<App>(session, std::move(decoded).value()).Run();
+}
+
 }  // namespace detail
 
-/// Parent-process front end of the distributed engine: forks one worker
-/// process per machine group, lets DistributedCoordinator drive the BSP
-/// rounds over the control plane, then assembles the version-merged final
+/// Parent side of one distributed session: the coordinator and its worker
+/// group. The group is forked at the first job and kept across jobs; every
+/// job after it runs as rounds on the same processes. A session is fixed to
+/// one graph, placement, topology, PropagationConfig and DistributedOptions;
+/// only the app changes from job to job. Jobs serialize; destruction closes
+/// the group.
+class DistributedSession {
+ public:
+  DistributedSession(const PartitionedGraph* graph,
+                     const ReplicatedPlacement* placement,
+                     const Topology* topology, PropagationConfig config,
+                     DistributedOptions options)
+      : graph_(graph),
+        config_(std::move(config)),
+        options_(std::move(options)),
+        coordinator_(MakeParams(placement, topology),
+                     [this](uint32_t proc, Socket control) {
+                       detail::WorkerSession session(graph_, config_,
+                                                     options_, proc,
+                                                     std::move(control));
+                       detail::RunWorkerProcess(session);
+                     }) {}
+
+  DistributedSession(const DistributedSession&) = delete;
+  DistributedSession& operator=(const DistributedSession&) = delete;
+
+  /// Runs `app` as one job on the group; see DistributedCoordinator::RunJob.
+  template <typename App>
+    requires DistributableApp<App>
+  Result<CoordinatorOutcome> RunJob(const App& app) {
+    JobMsg job;
+    job.kind = detail::JobKind<App>::id;
+    job.app = EncodeJobApp(app);
+    std::lock_guard<std::mutex> lock(mu_);
+    return coordinator_.RunJob(job);
+  }
+
+  /// Closes the group (a later job forms a new one); returns the seconds
+  /// the reap took.
+  double Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return coordinator_.Close();
+  }
+
+  /// The open group's worker pids. Not synchronized with a job in flight
+  /// on another thread.
+  std::vector<pid_t> worker_pids() const { return coordinator_.worker_pids(); }
+
+ private:
+  CoordinatorParams MakeParams(const ReplicatedPlacement* placement,
+                               const Topology* topology) const {
+    const uint32_t num_machines = topology->num_machines();
+    CoordinatorParams params;
+    params.num_processes = options_.max_processes == 0
+                               ? num_machines
+                               : std::min(options_.max_processes, num_machines);
+    params.num_machines = num_machines;
+    params.iterations = config_.iterations;
+    params.replicas = placement;
+    params.sigterm_machine = options_.sigterm_machine;
+    params.sigterm_iteration = options_.sigterm_iteration;
+    params.straggler_multiple = options_.straggler_multiple;
+    params.straggler_min_ms = options_.straggler_min_ms;
+    params.status_sink = options_.status_sink;
+
+    PlacementMsg& msg = params.placement;
+    msg.num_machines = num_machines;
+    msg.num_partitions = placement->num_partitions();
+    msg.replication = kReplicationFactor;
+    msg.fault_tolerant = (!options_.faults.empty() ||
+                          options_.sigterm_machine != kInvalidMachine)
+                             ? 1
+                             : 0;
+    msg.replicas.reserve(static_cast<size_t>(msg.num_partitions) *
+                         kReplicationFactor);
+    for (PartitionId p = 0; p < msg.num_partitions; ++p) {
+      for (uint32_t r = 0; r < kReplicationFactor; ++r) {
+        msg.replicas.push_back(placement->replicas[p][r]);
+      }
+    }
+    msg.faults = options_.faults;
+    msg.heartbeat_period_ms = options_.heartbeat_period_ms;
+    msg.clock_sync_pings = options_.clock_sync_pings;
+    msg.stall_proc = options_.stall_proc;
+    msg.stall_iteration = options_.stall_iteration;
+    msg.stall_ms = options_.stall_ms;
+    return params;
+  }
+
+  const PartitionedGraph* graph_;
+  const PropagationConfig config_;
+  const DistributedOptions options_;
+  std::mutex mu_;
+  DistributedCoordinator coordinator_;
+};
+
+/// Parent-process front end of the distributed engine for one app: runs it
+/// as a job of a DistributedSession, then assembles the version-merged final
 /// states and the cluster-wide stats. Mirrors RuntimeExecutor's public
 /// surface so Engine::Run can treat the two engines uniformly.
 template <typename App>
@@ -1028,42 +1267,22 @@ class DistributedExecutor {
         config_(config),
         options_(std::move(options)) {}
 
+  /// One job on a session of its own: forms the group, runs, closes it.
   Status Run() {
     SURFER_RETURN_IF_ERROR(
         ValidateEngineInputs(graph_, placement_, topology_, config_));
-    const auto wall_start = std::chrono::steady_clock::now();
-    const uint32_t num_machines = topology_->num_machines();
-    const uint32_t num_processes =
-        options_.max_processes == 0
-            ? num_machines
-            : std::min(options_.max_processes, num_machines);
+    DistributedSession session(graph_, placement_, topology_, config_,
+                               options_);
+    return RunJob(session, /*close=*/true);
+  }
 
-    CoordinatorParams params;
-    params.num_processes = num_processes;
-    params.num_machines = num_machines;
-    params.iterations = config_.iterations;
-    params.placement = BuildPlacementMsg(num_machines);
-    params.replicas = placement_;
-    params.sigterm_machine = options_.sigterm_machine;
-    params.sigterm_iteration = options_.sigterm_iteration;
-    params.straggler_multiple = options_.straggler_multiple;
-    params.straggler_min_ms = options_.straggler_min_ms;
-    params.status_sink = options_.status_sink;
-
-    DistributedCoordinator coordinator(
-        params, [this](uint32_t proc, Socket control) {
-          detail::DistributedWorker<App> worker(graph_, app_, config_,
-                                                options_, proc,
-                                                std::move(control));
-          worker.Run();  // never returns
-        });
-    SURFER_ASSIGN_OR_RETURN(CoordinatorOutcome outcome, coordinator.Run());
-    SURFER_RETURN_IF_ERROR(Assemble(outcome, num_processes, num_machines));
-    stats_.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
-    runtime::ExportRuntimeStats(stats_, config_.metrics);
-    return Status::OK();
+  /// One job on `session`, which must have been opened over this
+  /// executor's graph, placement, topology, config and options. The group
+  /// stays open for the session's next job.
+  Status RunIn(DistributedSession& session) {
+    SURFER_RETURN_IF_ERROR(
+        ValidateEngineInputs(graph_, placement_, topology_, config_));
+    return RunJob(session, /*close=*/false);
   }
 
   const std::vector<VertexState>& states() const { return states_; }
@@ -1093,29 +1312,20 @@ class DistributedExecutor {
   const obs::JsonValue& cluster_report() const { return cluster_report_; }
 
  private:
-  PlacementMsg BuildPlacementMsg(uint32_t num_machines) const {
-    PlacementMsg msg;
-    msg.num_machines = num_machines;
-    msg.num_partitions = placement_->num_partitions();
-    msg.replication = kReplicationFactor;
-    msg.fault_tolerant = (!options_.faults.empty() ||
-                          options_.sigterm_machine != kInvalidMachine)
-                             ? 1
-                             : 0;
-    msg.replicas.reserve(static_cast<size_t>(msg.num_partitions) *
-                         kReplicationFactor);
-    for (PartitionId p = 0; p < msg.num_partitions; ++p) {
-      for (uint32_t r = 0; r < kReplicationFactor; ++r) {
-        msg.replicas.push_back(placement_->replicas[p][r]);
-      }
+  Status RunJob(DistributedSession& session, bool close) {
+    const auto wall_start = std::chrono::steady_clock::now();
+    SURFER_ASSIGN_OR_RETURN(CoordinatorOutcome outcome, session.RunJob(app_));
+    if (close) {
+      outcome.phases.reap_s += session.Close();
     }
-    msg.faults = options_.faults;
-    msg.heartbeat_period_ms = options_.heartbeat_period_ms;
-    msg.clock_sync_pings = options_.clock_sync_pings;
-    msg.stall_proc = options_.stall_proc;
-    msg.stall_iteration = options_.stall_iteration;
-    msg.stall_ms = options_.stall_ms;
-    return msg;
+    SURFER_RETURN_IF_ERROR(
+        Assemble(outcome, static_cast<uint32_t>(outcome.worker_stats.size()),
+                 topology_->num_machines()));
+    stats_.wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - wall_start)
+                              .count();
+    runtime::ExportRuntimeStats(stats_, config_.metrics);
+    return Status::OK();
   }
 
   Status Assemble(const CoordinatorOutcome& outcome, uint32_t num_processes,

@@ -48,8 +48,9 @@ enum class FrameType : uint16_t {
   kFinalVirtual = 11,  ///< worker -> coordinator: virtual vertex outputs
   kWorkerReport = 12,  ///< worker -> coordinator: run-report JSON text
   kFinalDone = 13,   ///< worker -> coordinator: result stream complete;
-                     ///< the worker exits right after sending it
+                     ///< the worker then waits for the next kJob
   kHeartbeat = 15,   ///< worker -> coordinator: periodic liveness + load
+  kJob = 16,         ///< coordinator -> workers: start one job (app bytes)
   // Data mesh.
   kMeshHello = 20,   ///< connecting worker identifies its process index
   kData = 21,        ///< one serialized WireBatch

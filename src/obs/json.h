@@ -55,12 +55,19 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
 
+  // Where these inline into a caller that built `v` from a scalar, GCC 12
+  // warns (-Wmaybe-uninitialized) that the moved variant's vector and
+  // string alternatives may be uninitialized: it follows every arm of the
+  // variant's move, though only the held alternative's arm runs.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
   /// Appends to an array value.
   void Append(JsonValue v) { as_array().push_back(std::move(v)); }
   /// Sets (appends) an object member; does not deduplicate keys.
   void Set(std::string key, JsonValue v) {
     as_object().emplace_back(std::move(key), std::move(v));
   }
+#pragma GCC diagnostic pop
 
   /// Serializes; `indent` > 0 pretty-prints with that many spaces per level.
   std::string Write(int indent = 0) const;

@@ -5,9 +5,10 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
-#include <thread>
 
 #include <unistd.h>
+
+#include "common/host.h"
 
 // Stamped by src/obs/CMakeLists.txt so provenance headers can state how the
 // producing binary was built.
@@ -91,8 +92,7 @@ JsonValue BuildProvenance() {
   }
   hostname[sizeof(hostname) - 1] = '\0';
   provenance.Set("hostname", std::string(hostname));
-  provenance.Set("host_cores",
-                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  provenance.Set("host_cores", static_cast<uint64_t>(HostThreads()));
   provenance.Set("build_type", std::string(SURFER_BUILD_TYPE_NAME));
   provenance.Set("sanitizer", std::string(SURFER_SANITIZE_NAME));
   return provenance;

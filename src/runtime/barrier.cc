@@ -1,31 +1,11 @@
 #include "runtime/barrier.h"
 
-#include <algorithm>
-#include <thread>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
+#include "common/host.h"
 
 namespace surfer {
 namespace runtime {
 
 BspBarrier::BspBarrier(uint32_t participants) : participants_(participants) {}
-
-uint32_t BspBarrier::HostThreads() {
-  uint32_t threads = std::thread::hardware_concurrency();
-#if defined(__linux__)
-  // A process confined by taskset or a cgroup cpuset runs on fewer CPUs
-  // than the machine has; spinning must be sized to those.
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    const uint32_t allowed = static_cast<uint32_t>(CPU_COUNT(&set));
-    threads = threads == 0 ? allowed : std::min(threads, allowed);
-  }
-#endif
-  return std::max(threads, 1u);
-}
 
 bool BspBarrier::SpinFits(uint32_t spinners) {
   const uint32_t host = HostThreads();

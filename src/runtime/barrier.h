@@ -92,13 +92,9 @@ class BspBarrier {
   BspBarrier(const BspBarrier&) = delete;
   BspBarrier& operator=(const BspBarrier&) = delete;
 
-  /// Hardware threads this process may run on: its CPU affinity set where
-  /// the platform reports one, std::thread::hardware_concurrency()
-  /// otherwise; at least 1.
-  static uint32_t HostThreads();
-
   /// The host rule for spinning: `spinners` threads may spin-wait only when
-  /// each fits on its own hardware thread of a multi-core host. Otherwise
+  /// each fits on its own hardware thread (surfer::HostThreads(), which
+  /// counts the CPU affinity set) of a multi-core host. Otherwise
   /// a spinner would take the CPU a straggler or the releasing thread
   /// needs, so waiters park at once.
   static bool SpinFits(uint32_t spinners);

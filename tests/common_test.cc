@@ -2,11 +2,17 @@
 #include <bit>
 #include <functional>
 #include <set>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <gtest/gtest.h>
 
 #include "common/histogram.h"
+#include "common/host.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -115,6 +121,36 @@ TEST(ResultTest, MoveOnlyValue) {
 }
 
 // ------------------------------------------------------------------- Rng
+
+TEST(HostThreadsTest, AtLeastOne) { EXPECT_GE(HostThreads(), 1u); }
+
+#if defined(__linux__)
+// A thread confined to one CPU (what taskset -c 0 does to a process) counts
+// one hardware thread, whatever the machine has.
+TEST(HostThreadsTest, CountsTheAffinityMask) {
+  uint32_t pinned = 0;
+  bool pinned_ok = false;
+  std::thread probe([&] {
+    cpu_set_t current;
+    CPU_ZERO(&current);
+    if (sched_getaffinity(0, sizeof(current), &current) != 0) {
+      return;
+    }
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &current)) {
+      ++cpu;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ok = sched_setaffinity(0, sizeof(one), &one) == 0;
+    pinned = HostThreads();
+  });
+  probe.join();
+  ASSERT_TRUE(pinned_ok);
+  EXPECT_EQ(pinned, 1u);
+}
+#endif
 
 TEST(RngTest, DeterministicForSeed) {
   Rng a(123);

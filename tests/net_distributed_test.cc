@@ -1,20 +1,26 @@
 // End-to-end tests of the multi-process distributed engine: bit-identity
 // against the sequential PropagationRunner at several process counts, exact
 // per-link byte reconciliation with the analytic model, recovery from real
-// child-process kills, and graceful SIGTERM decommission with artifact
-// flush. Every test forks real OS processes and moves real bytes over
-// localhost TCP.
+// child-process kills, graceful SIGTERM decommission with artifact flush,
+// sessions that run many jobs on one worker group, and workers outliving a
+// killed coordinator by no more than a bound. Every test forks real OS
+// processes and moves real bytes over localhost TCP.
 
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <sys/prctl.h>
 #include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -752,6 +758,509 @@ TEST(NetDistributedTest, DeathWithoutFaultToleranceAborts) {
       setup, NetworkRankingApp(f.graph.num_vertices()), options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+
+// ------------------------------------------------- session-lifetime groups
+
+/// Checks every off-diagonal link of a run against the analytic model's
+/// priced bytes, exactly.
+void ExpectLinksReconcile(const std::vector<double>& model,
+                          const std::vector<double>& actual, uint32_t n,
+                          const std::string& what) {
+  ASSERT_EQ(model.size(), actual.size()) << what;
+  for (uint32_t src = 0; src < n; ++src) {
+    for (uint32_t dst = 0; dst < n; ++dst) {
+      const size_t i = static_cast<size_t>(src) * n + dst;
+      EXPECT_EQ(src == dst ? 0.0 : model[i], actual[i])
+          << what << ": link " << src << "->" << dst;
+    }
+  }
+}
+
+/// One of the cluster block's coordinator_s phases.
+double CoordinatorSeconds(const obs::JsonValue& cluster, const char* phase) {
+  const obs::JsonValue* phases = cluster.Find("coordinator_s");
+  const obs::JsonValue* seconds =
+      phases == nullptr ? nullptr : phases->Find(phase);
+  if (seconds == nullptr) {
+    ADD_FAILURE() << "cluster block has no coordinator_s." << phase;
+    return -1.0;
+  }
+  return seconds->as_number();
+}
+
+/// The seqs of the rounds a job drove, from the cluster block's round rows.
+std::vector<double> RoundSeqs(const obs::JsonValue& cluster) {
+  std::vector<double> seqs;
+  const obs::JsonValue* rounds = cluster.Find("rounds");
+  if (rounds == nullptr) {
+    ADD_FAILURE() << "cluster block has no rounds";
+    return seqs;
+  }
+  for (const obs::JsonValue& row : rounds->as_array()) {
+    seqs.push_back(row.Find("seq")->as_number());
+  }
+  return seqs;
+}
+
+/// True once `pid`, a child of this process, has exited; leaves it for its
+/// parent-side owner to reap.
+bool ExitedWithin(pid_t pid, std::chrono::milliseconds bound) {
+  const auto deadline = std::chrono::steady_clock::now() + bound;
+  while (std::chrono::steady_clock::now() < deadline) {
+    siginfo_t info{};
+    if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                 WEXITED | WNOHANG | WNOWAIT) == 0 &&
+        info.si_pid == pid) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
+}
+
+// Four jobs on one session: the first forms the group, the other three run
+// on it. Every job is bit-identical with exact link bytes and the same exact
+// counters; the later jobs read no hello or ready frame and spend nothing
+// forming or reaping the group; round seqs keep increasing across jobs; and
+// the counters are each job's own, not session totals.
+TEST(NetDistributedTest, SessionRunsEveryJobOnTheGroupItFormedFirst) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/3);
+  NetworkRankingApp app(f.graph.num_vertices());
+  PropagationRunner<NetworkRankingApp> runner(setup.graph, setup.placement,
+                                              setup.topology, app, config);
+  ASSERT_TRUE(runner.Run(setup.sim_options).ok());
+
+  EngineOptions options;
+  options.engine = EngineKind::kDistributed;
+  options.propagation = config;
+  options.distributed.max_processes = 3;
+  auto engine = Engine::Open(setup, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::vector<RunAppResult<NetworkRankingApp>> jobs;
+  for (int job = 0; job < 4; ++job) {
+    auto result = engine->Run(app);
+    ASSERT_TRUE(result.ok()) << "job " << job << ": "
+                             << result.status().ToString();
+    const std::string what = "job " + std::to_string(job);
+    ExpectBitIdentical(runner.states(), result->states, what);
+    ExpectLinksReconcile(runner.link_network_bytes(),
+                         result->link_network_bytes,
+                         f.topology.num_machines(), what);
+    ASSERT_TRUE(result->runtime_stats.has_value());
+    ASSERT_TRUE(result->cluster.has_value());
+    jobs.push_back(std::move(result).value());
+  }
+
+  const runtime::RuntimeStats& first = *jobs[0].runtime_stats;
+  EXPECT_EQ(ControlFramesRead(*jobs[0].cluster, "hello"), 3.0);
+  EXPECT_EQ(ControlFramesRead(*jobs[0].cluster, "ready"), 3.0);
+  EXPECT_GT(CoordinatorSeconds(*jobs[0].cluster, "spawn"), 0.0);
+  EXPECT_EQ(CoordinatorSeconds(*jobs[0].cluster, "reap"), 0.0);
+  double last_seq = 0.0;
+  for (size_t job = 0; job < jobs.size(); ++job) {
+    const runtime::RuntimeStats& stats = *jobs[job].runtime_stats;
+    const obs::JsonValue& cluster = *jobs[job].cluster;
+    EXPECT_EQ(stats.messages_sent, first.messages_sent) << "job " << job;
+    EXPECT_EQ(stats.link_bytes, first.link_bytes) << "job " << job;
+    EXPECT_EQ(stats.barrier_generations, first.barrier_generations)
+        << "job " << job;
+    EXPECT_EQ(stats.tasks_executed, first.tasks_executed) << "job " << job;
+    EXPECT_EQ(ControlFramesRead(cluster, "round_done"),
+              3.0 * static_cast<double>(stats.barrier_generations))
+        << "job " << job;
+    // The mesh counters are not exact (the stager's flush deadline depends
+    // on scheduling), but a session total would be job + 1 times the first.
+    EXPECT_LT(stats.tcp_bytes_sent, 2 * first.tcp_bytes_sent) << "job " << job;
+    EXPECT_LT(stats.tcp_frames_sent, 2 * first.tcp_frames_sent)
+        << "job " << job;
+    const std::vector<double> seqs = RoundSeqs(cluster);
+    ASSERT_EQ(seqs.size(), stats.barrier_generations);
+    for (double seq : seqs) {
+      EXPECT_GT(seq, last_seq) << "job " << job;
+      last_seq = seq;
+    }
+    if (job == 0) {
+      continue;
+    }
+    EXPECT_EQ(ControlFramesRead(cluster, "hello"), 0.0) << "job " << job;
+    EXPECT_EQ(ControlFramesRead(cluster, "ready"), 0.0) << "job " << job;
+    for (const char* phase : {"spawn", "handshake", "reap"}) {
+      EXPECT_EQ(CoordinatorSeconds(cluster, phase), 0.0)
+          << "job " << job << " " << phase;
+    }
+  }
+}
+
+// The group's workers run any distributable app: each job resets the
+// per-job state, so alternating apps on one group stays bit-identical.
+TEST(NetDistributedTest, SessionAlternatesAppsOnOneGroup) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/3);
+  NetworkRankingApp ranking(f.graph.num_vertices());
+  PropagationRunner<NetworkRankingApp> ranking_runner(
+      setup.graph, setup.placement, setup.topology, ranking, config);
+  ASSERT_TRUE(ranking_runner.Run(setup.sim_options).ok());
+  DistSkippableSumApp sum;
+  PropagationRunner<DistSkippableSumApp> sum_runner(
+      setup.graph, setup.placement, setup.topology, sum, config);
+  ASSERT_TRUE(sum_runner.Run(setup.sim_options).ok());
+
+  EngineOptions options;
+  options.engine = EngineKind::kDistributed;
+  options.propagation = config;
+  options.distributed.max_processes = 3;
+  auto engine = Engine::Open(setup, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto first = engine->Run(ranking);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ExpectBitIdentical(ranking_runner.states(), first->states, "first NR job");
+  auto second = engine->Run(sum);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ExpectBitIdentical(sum_runner.states(), second->states,
+                     "skippable-sum job after NR");
+  auto third = engine->Run(ranking);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  ExpectBitIdentical(ranking_runner.states(), third->states,
+                     "NR job after skippable-sum");
+  EXPECT_EQ(ControlFramesRead(*second->cluster, "hello"), 0.0);
+  EXPECT_EQ(ControlFramesRead(*third->cluster, "hello"), 0.0);
+}
+
+// With a fault plan every job loses a process and recovers. The loss makes
+// the next job re-form the group: three hello frames again.
+TEST(NetDistributedTest, SessionReformsTheGroupAfterALoss) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/3);
+  NetworkRankingApp app(f.graph.num_vertices());
+  PropagationRunner<NetworkRankingApp> runner(setup.graph, setup.placement,
+                                              setup.topology, app, config);
+  ASSERT_TRUE(runner.Run(setup.sim_options).ok());
+
+  EngineOptions options;
+  options.engine = EngineKind::kDistributed;
+  options.propagation = config;
+  options.distributed.max_processes = 3;
+  runtime::RuntimeFaultPlan plan;
+  plan.machine = 2;
+  plan.iteration = 1;
+  plan.stage = runtime::RuntimeStage::kTransfer;
+  plan.after_tasks = 1;
+  options.distributed.faults.push_back(plan);
+  auto engine = Engine::Open(setup, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  for (int job = 0; job < 3; ++job) {
+    auto result = engine->Run(app);
+    ASSERT_TRUE(result.ok()) << "job " << job << ": "
+                             << result.status().ToString();
+    ExpectBitIdentical(runner.states(), result->states,
+                       "recovered job " + std::to_string(job));
+    EXPECT_GE(result->runtime_stats->machine_failures, 1u) << "job " << job;
+    EXPECT_GT(result->runtime_stats->tasks_reexecuted, 0u) << "job " << job;
+    EXPECT_EQ(ControlFramesRead(*result->cluster, "hello"), 3.0)
+        << "job " << job;
+    if (job > 0) {
+      // Closing what was left of the last job's group.
+      EXPECT_GT(CoordinatorSeconds(*result->cluster, "reap"), 0.0)
+          << "job " << job;
+    }
+  }
+}
+
+// A worker lost while the group idles between jobs is noticed before the
+// next job starts: the group is re-formed, so even a run with no fault
+// tolerance completes.
+TEST(NetDistributedTest, WorkerLostBetweenJobsIsReplacedBeforeTheNext) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+  NetworkRankingApp app(f.graph.num_vertices());
+  PropagationRunner<NetworkRankingApp> runner(setup.graph, setup.placement,
+                                              setup.topology, app, config);
+  ASSERT_TRUE(runner.Run(setup.sim_options).ok());
+
+  net::DistributedOptions options;
+  options.max_processes = 3;
+  net::DistributedSession session(setup.graph, setup.placement,
+                                  setup.topology, config, options);
+  net::DistributedExecutor<NetworkRankingApp> first(
+      setup.graph, setup.placement, setup.topology, app, config, options);
+  ASSERT_TRUE(first.RunIn(session).ok());
+  const std::vector<pid_t> pids = session.worker_pids();
+  ASSERT_EQ(pids.size(), 3u);
+  ASSERT_EQ(::kill(pids[1], SIGKILL), 0);
+  ASSERT_TRUE(ExitedWithin(pids[1], std::chrono::seconds(5)));
+
+  net::DistributedExecutor<NetworkRankingApp> second(
+      setup.graph, setup.placement, setup.topology, app, config, options);
+  const Status status = second.RunIn(session);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectBitIdentical(runner.states(), second.states(),
+                     "job after a lost worker");
+  EXPECT_EQ(ControlFramesRead(second.cluster_report(), "hello"), 3.0);
+  EXPECT_EQ(second.stats().machine_failures, 0u);
+  const std::vector<pid_t> reformed = session.worker_pids();
+  ASSERT_EQ(reformed.size(), 3u);
+  EXPECT_EQ(std::set<pid_t>(reformed.begin(), reformed.end()).count(pids[1]),
+            0u);
+  session.Close();
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+// Heartbeats flow only while a job is in flight: a group that idles far
+// longer than the heartbeat period between two jobs is still quiet when
+// the second job starts, so it is reused, not re-formed.
+TEST(NetDistributedTest, HeartbeatsStopBetweenJobs) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+  NetworkRankingApp app(f.graph.num_vertices());
+  PropagationRunner<NetworkRankingApp> runner(setup.graph, setup.placement,
+                                              setup.topology, app, config);
+  ASSERT_TRUE(runner.Run(setup.sim_options).ok());
+
+  EngineOptions options;
+  options.engine = EngineKind::kDistributed;
+  options.propagation = config;
+  options.distributed.max_processes = 3;
+  options.distributed.heartbeat_period_ms = 5;
+  auto engine = Engine::Open(setup, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto first = engine->Run(app);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  auto second = engine->Run(app);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ExpectBitIdentical(runner.states(), second->states,
+                     "job after an idle group");
+  EXPECT_EQ(ControlFramesRead(*second->cluster, "hello"), 0.0);
+}
+
+// Runs from several threads on one session take turns on its group.
+TEST(NetDistributedTest, ConcurrentRunsOnOneSessionSerialize) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+  NetworkRankingApp app(f.graph.num_vertices());
+  PropagationRunner<NetworkRankingApp> runner(setup.graph, setup.placement,
+                                              setup.topology, app, config);
+  ASSERT_TRUE(runner.Run(setup.sim_options).ok());
+
+  EngineOptions options;
+  options.engine = EngineKind::kDistributed;
+  options.propagation = config;
+  options.distributed.max_processes = 3;
+  auto engine = Engine::Open(setup, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  constexpr int kThreads = 3;
+  constexpr int kJobsPerThread = 2;
+  std::vector<std::vector<Result<RunAppResult<NetworkRankingApp>>>> results(
+      kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int job = 0; job < kJobsPerThread; ++job) {
+        results[t].push_back(engine->Run(app));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  double hellos = 0.0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (const auto& result : results[t]) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ExpectBitIdentical(runner.states(), result->states,
+                         "thread " + std::to_string(t));
+      hellos += ControlFramesRead(*result->cluster, "hello");
+    }
+  }
+  EXPECT_EQ(hellos, 3.0);
+}
+
+/// DistSkippableSumApp with a member that is not trivially copyable.
+struct NonTrivialSumApp : DistSkippableSumApp {
+  std::vector<double> weights;
+};
+static_assert(net::DistributableApp<DistSkippableSumApp>);
+static_assert(!net::DistributableApp<NonTrivialSumApp>,
+              "a job carries its app as raw bytes");
+
+TEST(NetDistributedTest, JobFrameCarriesTheAppAndRejectsAWrongSize) {
+  const NetworkRankingApp app(1234, 0.75);
+  net::JobMsg job;
+  job.kind = 7;
+  job.app = net::EncodeJobApp(app);
+  auto decoded = net::DecodeJob(net::EncodeJob(job));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->kind, 7u);
+  auto back = net::DecodeJobApp<NetworkRankingApp>(decoded->app);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  // Both fields came through: the vertex count and the damping.
+  EXPECT_EQ(back->InitState(0, {}), 1.0 / 1234.0);
+  double state = 0.0;
+  std::vector<double> no_messages;
+  back->Combine(0, state, {}, no_messages);
+  EXPECT_EQ(state, (1.0 - 0.75) / 1234.0);
+
+  for (size_t size : {sizeof(NetworkRankingApp) - 1,
+                      sizeof(NetworkRankingApp) + 1, size_t{0}}) {
+    std::vector<uint8_t> bytes(size, 0);
+    auto wrong = net::DecodeJobApp<NetworkRankingApp>(bytes);
+    ASSERT_FALSE(wrong.ok()) << size;
+    EXPECT_EQ(wrong.status().code(), StatusCode::kCorruption) << size;
+  }
+  auto torn = net::DecodeJob(std::vector<uint8_t>{1, 2});
+  ASSERT_FALSE(torn.ok());
+  EXPECT_EQ(torn.status().code(), StatusCode::kCorruption);
+}
+
+// ------------------------------------------------------ coordinator death
+
+/// Writes a count and the pids to `fd`, then blocks until killed.
+[[noreturn]] void ReportPidsAndBlock(int fd, const std::vector<pid_t>& pids) {
+  const uint32_t count = static_cast<uint32_t>(pids.size());
+  (void)!::write(fd, &count, sizeof(count));
+  (void)!::write(fd, pids.data(), pids.size() * sizeof(pid_t));
+  for (;;) {
+    ::pause();
+  }
+}
+
+/// Forks a stand-in coordinator that runs `stand_in`, which must end in
+/// ReportPidsAndBlock. Once the pids arrive the stand-in is SIGKILLed, and
+/// this returns how each of its orphaned workers ended: its exit code, or
+/// -1 if it was still running `bound` after the kill. This process is the
+/// workers' subreaper meanwhile, so it can reap them.
+std::vector<int> KillStandInCoordinator(
+    const std::function<void(int pid_fd)>& stand_in,
+    std::chrono::milliseconds bound) {
+  EXPECT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  const pid_t coordinator = ::fork();
+  if (coordinator == 0) {
+    ::close(fds[0]);
+    stand_in(fds[1]);
+    ::_exit(1);
+  }
+  ::close(fds[1]);
+  uint32_t count = 0;
+  std::vector<pid_t> pids;
+  if (::read(fds[0], &count, sizeof(count)) == sizeof(count) && count < 64) {
+    pids.resize(count);
+    const ssize_t want = static_cast<ssize_t>(count * sizeof(pid_t));
+    EXPECT_EQ(::read(fds[0], pids.data(), static_cast<size_t>(want)), want);
+  }
+  ::close(fds[0]);
+  ::kill(coordinator, SIGKILL);
+  ::waitpid(coordinator, nullptr, 0);
+
+  const auto deadline = std::chrono::steady_clock::now() + bound;
+  std::vector<int> codes;
+  for (pid_t pid : pids) {
+    int status = 0;
+    pid_t reaped = 0;
+    while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (reaped != pid) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+      codes.push_back(-1);
+      continue;
+    }
+    codes.push_back(WIFEXITED(status) ? WEXITSTATUS(status)
+                                      : 128 + WTERMSIG(status));
+  }
+  EXPECT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 0), 0);
+  return codes;
+}
+
+// A coordinator that dies while its group idles between jobs leaves no
+// worker behind: control EOF between jobs is a clean exit.
+TEST(NetDistributedTest, CoordinatorDeathBetweenJobsEndsEveryWorkerCleanly) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+  const std::vector<int> codes = KillStandInCoordinator(
+      [&](int fd) {
+        net::DistributedOptions options;
+        options.max_processes = 3;
+        net::DistributedSession session(setup.graph, setup.placement,
+                                        setup.topology, config, options);
+        net::DistributedExecutor<NetworkRankingApp> job(
+            setup.graph, setup.placement, setup.topology,
+            NetworkRankingApp(f.graph.num_vertices()), config, options);
+        if (!job.RunIn(session).ok()) {
+          ::_exit(1);
+        }
+        ReportPidsAndBlock(fd, session.worker_pids());
+      },
+      std::chrono::seconds(5));
+  ASSERT_EQ(codes.size(), 3u);
+  for (size_t proc = 0; proc < codes.size(); ++proc) {
+    EXPECT_EQ(codes[proc], 0) << "worker " << proc;
+  }
+}
+
+// A coordinator that dies mid-round, with one worker stalled in a combine
+// round and the others waiting at its barrier, leaves no worker behind
+// either: a worker that loses its coordinator inside a job exits as a
+// fault (2).
+TEST(NetDistributedTest, CoordinatorDeathMidRoundEndsEveryWorker) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const PropagationConfig config =
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/3);
+  const std::vector<int> codes = KillStandInCoordinator(
+      [&](int fd) {
+        net::DistributedOptions options;
+        options.max_processes = 3;
+        options.heartbeat_period_ms = 10;
+        options.straggler_multiple = 3.0;
+        options.straggler_min_ms = 50;
+        options.stall_proc = 1;
+        options.stall_iteration = 1;
+        options.stall_ms = 2000;
+        net::DistributedSession* session = nullptr;
+        // The flag goes up while process 1 sleeps and the others wait at
+        // the round's barrier: report then, and block the coordinator.
+        options.status_sink = [&](const std::string& table) {
+          if (table.find("STRAGGLE") != std::string::npos) {
+            ReportPidsAndBlock(fd, session->worker_pids());
+          }
+        };
+        net::DistributedSession owned(setup.graph, setup.placement,
+                                      setup.topology, config, options);
+        session = &owned;
+        net::DistributedExecutor<NetworkRankingApp> job(
+            setup.graph, setup.placement, setup.topology,
+            NetworkRankingApp(f.graph.num_vertices()), config, options);
+        (void)job.RunIn(owned);
+        ::_exit(1);  // the sink never returns once it fires
+      },
+      std::chrono::seconds(5));
+  ASSERT_EQ(codes.size(), 3u);
+  for (size_t proc = 0; proc < codes.size(); ++proc) {
+    EXPECT_EQ(codes[proc], 2) << "worker " << proc;
+  }
 }
 
 }  // namespace

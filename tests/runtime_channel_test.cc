@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/topology.h"
+#include "common/host.h"
 #include "runtime/barrier.h"
 #include "runtime/channel.h"
 #include "runtime/channel_plan.h"
@@ -256,7 +257,7 @@ TEST(BspBarrierTest, DefectReleasesSpinningWaiters) {
 }
 
 TEST(BspBarrierTest, SpinsOnlyWhenSpinnersFitTheHost) {
-  const uint32_t host = BspBarrier::HostThreads();
+  const uint32_t host = HostThreads();
   ASSERT_GE(host, 1u);
   EXPECT_FALSE(BspBarrier::SpinFits(host + 1));
   // A single hardware thread never spins: the spinner would hold the only
@@ -266,7 +267,7 @@ TEST(BspBarrierTest, SpinsOnlyWhenSpinnersFitTheHost) {
 }
 
 TEST(BspBarrierTest, OversubscribedBarrierParksThrough1000Generations) {
-  const uint32_t threads = BspBarrier::HostThreads() + 2;
+  const uint32_t threads = HostThreads() + 2;
   const bool spin = BspBarrier::SpinFits(threads);
   ASSERT_FALSE(spin);
   constexpr int kGenerations = 1000;

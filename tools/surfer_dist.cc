@@ -5,13 +5,17 @@
 //               [--heartbeat-ms MS] [--clock-sync-pings N] [--watch]
 //
 // Builds a synthetic social graph, partitions it, runs NetworkRanking once
-// through the sequential analytic engine and once through the distributed
-// engine (N real OS processes over localhost TCP), then asserts the two
-// hard invariants the engine promises:
+// through the sequential analytic engine and twice through one distributed
+// session (N real OS processes over localhost TCP: the first job forms the
+// worker group, the second runs on it), then asserts, for each distributed
+// job, the two hard invariants the engine promises:
 //
 //   1. bit-identical vertex states, and
 //   2. exact per-link reconciliation of the TCP engine's priced bytes
 //      against the analytic model's link_network_bytes().
+//
+// With --artifacts the per-process and cluster reports are the second
+// job's, so they show a reused group (no spawn, no hello frames).
 //
 // --heartbeat-ms enables the worker health plane (and, with --watch, streams
 // the coordinator's live status table to stderr); --clock-sync-pings runs
@@ -97,6 +101,100 @@ bool Parse(int argc, char** argv, Args* out) {
   return true;
 }
 
+/// Checks one distributed job against the sequential reference and prints
+/// its summary; returns the process exit code.
+int CheckJob(const Args& args, const char* job,
+             const surfer::RunAppResult<surfer::NetworkRankingApp>& reference,
+             const surfer::RunAppResult<surfer::NetworkRankingApp>& actual,
+             uint32_t n) {
+  using namespace surfer;
+  // Invariant 1: bit-identical states.
+  if (reference.states.size() != actual.states.size() ||
+      std::memcmp(reference.states.data(), actual.states.data(),
+                  reference.states.size() *
+                      sizeof(NetworkRankingApp::VertexState)) != 0) {
+    for (size_t v = 0; v < reference.states.size(); ++v) {
+      if (std::memcmp(&reference.states[v], &actual.states[v],
+                      sizeof(NetworkRankingApp::VertexState)) != 0) {
+        std::fprintf(stderr,
+                     "FAIL: states diverge at vertex %zu"
+                     " (sequential %.17g, distributed %.17g)\n",
+                     v, static_cast<double>(reference.states[v]),
+                     static_cast<double>(actual.states[v]));
+        return 1;
+      }
+    }
+    std::fprintf(stderr, "FAIL: state vector size mismatch\n");
+    return 1;
+  }
+
+  // Invariant 2: exact per-link byte reconciliation.
+  for (uint32_t src = 0; src < n; ++src) {
+    for (uint32_t dst = 0; dst < n; ++dst) {
+      const size_t i = static_cast<size_t>(src) * n + dst;
+      if (reference.link_network_bytes[i] != actual.link_network_bytes[i]) {
+        std::fprintf(stderr,
+                     "FAIL: link %u->%u bytes diverge"
+                     " (model %.0f, measured %.0f)\n",
+                     src, dst, reference.link_network_bytes[i],
+                     actual.link_network_bytes[i]);
+        return 1;
+      }
+    }
+  }
+
+  const auto& stats = *actual.runtime_stats;
+
+  // Health-plane gate: with heartbeats or clock sync on, the run must hand
+  // back a cluster report whose critical path covers every driven round,
+  // and (with clock sync) offset-corrected per-link latency samples.
+  if (args.heartbeat_ms > 0 || args.clock_sync_pings > 0) {
+    if (!actual.cluster.has_value() || !actual.cluster->is_object()) {
+      std::fprintf(stderr, "FAIL: no cluster report from distributed run\n");
+      return 1;
+    }
+    const obs::JsonValue* critical = actual.cluster->Find("critical_path");
+    const obs::JsonValue* steps =
+        critical != nullptr ? critical->Find("steps") : nullptr;
+    const size_t step_count =
+        steps != nullptr && steps->is_array() ? steps->as_array().size() : 0;
+    if (step_count != stats.barrier_generations) {
+      std::fprintf(stderr,
+                   "FAIL: cluster critical path covers %zu rounds,"
+                   " expected %llu\n",
+                   step_count,
+                   static_cast<unsigned long long>(stats.barrier_generations));
+      return 1;
+    }
+    const obs::JsonValue* links = actual.cluster->Find("links");
+    const size_t link_count =
+        links != nullptr && links->is_array() ? links->as_array().size() : 0;
+    if (args.clock_sync_pings > 0 && link_count == 0) {
+      std::fprintf(stderr, "FAIL: cluster report has no link samples\n");
+      return 1;
+    }
+    std::printf(
+        "    cluster: critical path across %zu rounds, %zu link samples\n",
+        step_count, link_count);
+  }
+
+  std::printf(
+      "OK (%s job): %u procs x %u machines, %d iterations bit-identical;"
+      " %llu network bytes reconciled exactly across %u links\n",
+      job, stats.num_processes, stats.num_machines, args.iterations,
+      static_cast<unsigned long long>(stats.TotalNetworkBytes()),
+      n * (n - 1));
+  std::printf(
+      "    tcp: %llu frames, %llu bytes on the wire;"
+      " %llu tasks, %llu barrier rounds, peak worker rss %llu MiB\n",
+      static_cast<unsigned long long>(stats.tcp_frames_sent),
+      static_cast<unsigned long long>(stats.tcp_bytes_sent),
+      static_cast<unsigned long long>(stats.tasks_executed),
+      static_cast<unsigned long long>(stats.barrier_generations),
+      static_cast<unsigned long long>(stats.peak_rss_bytes >> 20));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -168,97 +266,18 @@ int main(int argc, char** argv) {
                  distributed_session.status().ToString().c_str());
     return 1;
   }
-  auto actual = distributed_session->Run(app);
-  if (!actual.ok()) {
-    std::fprintf(stderr, "distributed run failed: %s\n",
-                 actual.status().ToString().c_str());
-    return 1;
-  }
-
-  // Invariant 1: bit-identical states.
-  if (reference->states.size() != actual->states.size() ||
-      std::memcmp(reference->states.data(), actual->states.data(),
-                  reference->states.size() *
-                      sizeof(NetworkRankingApp::VertexState)) != 0) {
-    for (size_t v = 0; v < reference->states.size(); ++v) {
-      if (std::memcmp(&reference->states[v], &actual->states[v],
-                      sizeof(NetworkRankingApp::VertexState)) != 0) {
-        std::fprintf(stderr,
-                     "FAIL: states diverge at vertex %zu"
-                     " (sequential %.17g, distributed %.17g)\n",
-                     v, static_cast<double>(reference->states[v]),
-                     static_cast<double>(actual->states[v]));
-        return 1;
-      }
-    }
-    std::fprintf(stderr, "FAIL: state vector size mismatch\n");
-    return 1;
-  }
-
-  // Invariant 2: exact per-link byte reconciliation.
-  const uint32_t n = topology.num_machines();
-  for (uint32_t src = 0; src < n; ++src) {
-    for (uint32_t dst = 0; dst < n; ++dst) {
-      const size_t i = static_cast<size_t>(src) * n + dst;
-      if (reference->link_network_bytes[i] != actual->link_network_bytes[i]) {
-        std::fprintf(stderr,
-                     "FAIL: link %u->%u bytes diverge"
-                     " (model %.0f, measured %.0f)\n",
-                     src, dst, reference->link_network_bytes[i],
-                     actual->link_network_bytes[i]);
-        return 1;
-      }
-    }
-  }
-
-  const auto& stats = *actual->runtime_stats;
-
-  // Health-plane gate: with heartbeats or clock sync on, the run must hand
-  // back a cluster report whose critical path covers every driven round,
-  // and (with clock sync) offset-corrected per-link latency samples.
-  if (args.heartbeat_ms > 0 || args.clock_sync_pings > 0) {
-    if (!actual->cluster.has_value() || !actual->cluster->is_object()) {
-      std::fprintf(stderr, "FAIL: no cluster report from distributed run\n");
+  for (const char* job : {"first", "second"}) {
+    auto actual = distributed_session->Run(app);
+    if (!actual.ok()) {
+      std::fprintf(stderr, "distributed %s run failed: %s\n", job,
+                   actual.status().ToString().c_str());
       return 1;
     }
-    const obs::JsonValue* critical = actual->cluster->Find("critical_path");
-    const obs::JsonValue* steps =
-        critical != nullptr ? critical->Find("steps") : nullptr;
-    const size_t step_count =
-        steps != nullptr && steps->is_array() ? steps->as_array().size() : 0;
-    if (step_count != stats.barrier_generations) {
-      std::fprintf(stderr,
-                   "FAIL: cluster critical path covers %zu rounds,"
-                   " expected %llu\n",
-                   step_count,
-                   static_cast<unsigned long long>(stats.barrier_generations));
+    if (CheckJob(args, job, *reference, *actual, topology.num_machines()) !=
+        0) {
+      std::fprintf(stderr, "FAIL: in the %s distributed job\n", job);
       return 1;
     }
-    const obs::JsonValue* links = actual->cluster->Find("links");
-    const size_t link_count =
-        links != nullptr && links->is_array() ? links->as_array().size() : 0;
-    if (args.clock_sync_pings > 0 && link_count == 0) {
-      std::fprintf(stderr, "FAIL: cluster report has no link samples\n");
-      return 1;
-    }
-    std::printf(
-        "    cluster: critical path across %zu rounds, %zu link samples\n",
-        step_count, link_count);
   }
-
-  std::printf(
-      "OK: %u procs x %u machines, %d iterations bit-identical;"
-      " %llu network bytes reconciled exactly across %u links\n",
-      stats.num_processes, stats.num_machines, args.iterations,
-      static_cast<unsigned long long>(stats.TotalNetworkBytes()),
-      n * (n - 1));
-  std::printf(
-      "    tcp: %llu frames, %llu bytes on the wire;"
-      " %llu tasks, %llu barrier rounds, peak worker rss %llu MiB\n",
-      static_cast<unsigned long long>(stats.tcp_frames_sent),
-      static_cast<unsigned long long>(stats.tcp_bytes_sent),
-      static_cast<unsigned long long>(stats.tasks_executed),
-      static_cast<unsigned long long>(stats.barrier_generations),
-      static_cast<unsigned long long>(stats.peak_rss_bytes >> 20));
   return 0;
 }
