@@ -265,7 +265,7 @@ const uint32_t JobKind<App>::id = RegisterJobEntry(&RunWorkerJob<App>);
 /// of a stream reach the destination inbox in emission order. Recovery
 /// preserves the argument because replayed retained segments keep their
 /// original src machine and relative order, and re-executed transfer tasks
-/// go back through a WireStager (identical merge sequence) against
+/// go back through the kernel (identical merge sequence) against
 /// *iteration-start* states (see next_states_ below).
 ///
 /// Its kernel policies: Combine works on a copy of the partition's states in
@@ -360,14 +360,11 @@ class DistributedWorker {
     }
     tcp_bytes_base_ = transport_.tcp_bytes_sent();
     tcp_frames_base_ = transport_.tcp_frames_sent();
-    wire_combine_ = config_.local_combination && MergeableApp<App>;
     pool_ = std::make_unique<runtime::WireBufferPool>();
     for (MachineId m : hosted_) {
-      stagers_.emplace(
-          std::piecewise_construct, std::forward_as_tuple(m),
-          std::forward_as_tuple(&app_, runtime::WireBatchOptions{},
-                                pool_.get(), m, num_machines_, wire_combine_,
-                                graph_->encoding().starts()));
+      stagers_.emplace(std::piecewise_construct, std::forward_as_tuple(m),
+                       std::forward_as_tuple(&app_, runtime::WireBatchOptions{},
+                                             pool_.get(), m, num_machines_));
     }
 
     states_ = InitialStates(app_, *graph_);
@@ -380,7 +377,8 @@ class DistributedWorker {
     dirty_.assign(num_partitions_, 0);
     state_version_.assign(num_partitions_, -1);
     kernel_ = std::make_unique<runtime::PartitionKernel<App>>(
-        app_, *graph_, config_.frontier_gating, /*num_threads=*/1);
+        app_, *graph_, config_.frontier_gating, config_.local_combination,
+        /*num_threads=*/1);
     stage_tasks_done_.assign(num_machines_, 0);
     stats_.num_workers = static_cast<uint32_t>(hosted_.size());
     stats_.num_machines = num_machines_;
@@ -689,11 +687,12 @@ class DistributedWorker {
 
   void RunTransferTask(PartitionId p, MachineId m, const RoundMsg& round) {
     runtime::WireStager<App>& stager = stagers_.at(m);
-    kernel_->Transfer(
+    const auto tally = kernel_->Transfer(
         0, p, states_, [&](PartitionId dst, auto& real, auto& virtuals) {
           stager.StageTask(p, dst, round.route[dst], real, virtuals,
                            SendSink());
         });
+    stats_.wire_messages_combined += tally.combined;
   }
 
   void RunCombineTask(PartitionId p, MachineId m, const RoundMsg& round) {
@@ -860,18 +859,16 @@ class DistributedWorker {
 
   /// Re-executes a transfer task whose producer process died with its
   /// retained output. The full task re-runs against iteration-start states
-  /// through WireStagers (identical duplicate-merge folds); streams for the
+  /// through the kernel (identical duplicate-merge folds); streams for the
   /// partitions being rebuilt are sent, the rest are retained only — so a
   /// later death in this same iteration still finds a complete copy here.
   /// Two stagers keep rebuilt and retain-only streams in separate batches.
   void ReexecTransfer(PartitionId q, MachineId m, const RoundMsg& round) {
-    const auto& starts = graph_->encoding().starts();
     const runtime::WireBatchOptions wire;
     runtime::WireStager<App> send_stager(&app_, wire, pool_.get(), m,
-                                         num_machines_, wire_combine_, starts);
+                                         num_machines_);
     runtime::WireStager<App> retain_stager(&app_, wire, pool_.get(), m,
-                                           num_machines_, wire_combine_,
-                                           starts);
+                                           num_machines_);
     auto send = [&](runtime::WireBatch&& batch) {
       return ShipBatch(std::move(batch), /*resend=*/true, /*retain=*/true);
     };
@@ -880,7 +877,7 @@ class DistributedWorker {
       pool_->Release(std::move(batch.payload));
       return 0.0;
     };
-    kernel_->Transfer(
+    const auto tally = kernel_->Transfer(
         0, q, states_, [&](PartitionId dst, auto& real, auto& virtuals) {
           const MachineId target = round.route[dst];
           if (target != kInvalidMachine) {
@@ -892,6 +889,7 @@ class DistributedWorker {
         });
     send_stager.FlushAll(send);
     retain_stager.FlushAll(retain_only);
+    stats_.wire_messages_combined += tally.combined;
   }
 
   // ------------------------------------------------------------------- exits
@@ -1082,7 +1080,6 @@ class DistributedWorker {
   const std::vector<MachineId>& hosted_;
 
   bool fault_tolerant_ = false;
-  bool wire_combine_ = false;
   runtime::FaultController fault_;
   /// The session transport's counters when this job started.
   uint64_t tcp_bytes_base_ = 0;

@@ -27,6 +27,7 @@ VertexEncoding VertexEncoding::Create(const Partitioning& partitioning) {
     enc.to_encoded_[v] = encoded;
     enc.to_original_[encoded] = v;
   }
+  enc.BuildOwners();
   return enc;
 }
 
@@ -50,7 +51,19 @@ Result<VertexEncoding> VertexEncoding::FromMapping(
     }
     enc.to_encoded_[original] = encoded;
   }
+  enc.BuildOwners();
   return enc;
+}
+
+void VertexEncoding::BuildOwners() {
+  const auto n = static_cast<size_t>(starts_.back());
+  const auto p = static_cast<PartitionId>(starts_.size() - 1);
+  owner_.resize(n + 1);
+  // Each partition fills its own range; an empty one fills nothing.
+  for (PartitionId k = 0; k < p; ++k) {
+    std::fill(owner_.begin() + starts_[k], owner_.begin() + starts_[k + 1], k);
+  }
+  owner_[n] = p;
 }
 
 Graph VertexEncoding::Reencode(const Graph& graph) const {

@@ -12,9 +12,11 @@ namespace surfer {
 
 /// The vertex-ID encoding of Appendix B: vertices are renumbered so that
 /// each partition owns a consecutive ID range (partition k starts at
-/// sum of sizes of partitions 0..k-1). The partition of any encoded vertex
-/// is then a binary search over P prefix sums — no global vertex->partition
-/// map is needed, which is what makes Combine-task recovery cheap.
+/// sum of sizes of partitions 0..k-1). The P+1 range starts are the whole
+/// serialized form of the vertex->partition map, which is what makes
+/// Combine-task recovery cheap. In memory the encoding also keeps a dense
+/// owner array derived from the starts (4 B per vertex, never serialized),
+/// so the engines route every message with one load.
 class VertexEncoding {
  public:
   VertexEncoding() = default;
@@ -34,18 +36,10 @@ class VertexEncoding {
 
   /// Partition owning an encoded vertex ID: the last start <= `encoded`
   /// (an empty partition shares its start with the next one and never
-  /// owns an ID). Inline and branch-free, since the engines route every
-  /// message through it.
-  PartitionId PartitionOf(VertexId encoded) const {
-    const VertexId* first = starts_.data();
-    size_t len = starts_.size();
-    while (len > 1) {
-      const size_t half = len / 2;
-      first = first[half] <= encoded ? first + half : first;
-      len -= half;
-    }
-    return static_cast<PartitionId>(first - starts_.data());
-  }
+  /// owns an ID). One load from the owner array, since the engines route
+  /// every message through it. Defined for `encoded` <= num_vertices();
+  /// num_vertices() itself maps to P, the end fencepost's index.
+  PartitionId PartitionOf(VertexId encoded) const { return owner_[encoded]; }
 
   /// Encoded ID range [begin, end) of a partition.
   std::pair<VertexId, VertexId> Range(PartitionId partition) const {
@@ -69,6 +63,10 @@ class VertexEncoding {
   std::vector<VertexId> to_encoded_;
   std::vector<VertexId> to_original_;
   std::vector<VertexId> starts_;  // size P+1
+  /// owner_[id] = PartitionOf(id) for id in [0, n]; derived from starts_.
+  std::vector<PartitionId> owner_;
+
+  void BuildOwners();
 };
 
 }  // namespace surfer

@@ -14,6 +14,7 @@
 
 #include "cluster/metrics.h"
 #include "cluster/topology.h"
+#include "common/logging.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "engine/job_simulation.h"
@@ -226,6 +227,11 @@ class PropagationRunner {
                   static_cast<double>(app_.MessageBytes(message));
               out.emitted_bytes += bytes;
               ++out.counters.messages_emitted;
+              // PartitionOf is a table lookup defined only up to n.
+              SURFER_CHECK(target < g.num_vertices())
+                  << "partition " << p << " emitted target " << target
+                  << ", but the graph has only " << g.num_vertices()
+                  << " vertices";
               const PartitionId pt = graph_->PartitionOf(target);
               if (pt == p) {
                 if (merge_remote) {

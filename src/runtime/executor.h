@@ -69,21 +69,21 @@ struct RuntimeOptions {
 /// of the analytic PropagationRunner.
 ///
 /// One worker thread per simulated machine runs that machine's Transfer and
-/// Combine tasks through the shared PartitionKernel. Messages travel as
-/// serialized WireBatches: each machine's WireStager packs its outbound
-/// (src partition -> dst partition) streams into pooled per-destination-
-/// machine byte buffers, performing wire-level local combination at seal
-/// time, and ships them through bounded channels whose byte capacities
+/// Combine tasks through the shared PartitionKernel, which performs local
+/// combination as it routes each emission. Messages travel as serialized
+/// WireBatches: each machine's WireStager packs its outbound (src partition
+/// -> dst partition) streams into pooled per-destination-machine byte
+/// buffers and ships them through bounded channels whose byte capacities
 /// mirror the topology's bandwidth matrix; a barrier separates the BSP
 /// supersteps. The executor's contract, asserted by tests/runtime_test.cc,
 /// is *bit-identical* results to the sequential runner at every
 /// optimization level:
 ///   - each Combine sees its messages in the exact sequential order (the
 ///     ordering argument is PartitionKernel's; channels are FIFO);
-///   - wire combination merges a task's complete per-stream records before
-///     pricing or serializing any of them (WireStager::StageTask), so a
-///     merged stream carries at most one message per target per source and
-///     chunking never changes the priced byte count;
+///   - the kernel merges a task's complete per-stream records before the
+///     stager prices or serializes any of them, so a merged stream carries
+///     at most one message per target per source and chunking never
+///     changes the priced byte count;
 ///   - cascaded propagation and memory limits change the *accounted* cost
 ///     only, so the runtime ignores them without affecting results.
 ///
@@ -155,21 +155,18 @@ class RuntimeExecutor {
           std::make_unique<BoundedChannel<WireBatch>>(capacities[i]));
     }
     // One stager per machine, touched only by the machine's owner worker.
-    // Wire combination needs the job to allow local combination and the app
-    // to be mergeable.
-    const bool wire_combine = config_.local_combination && MergeableApp<App>;
     pool_ = std::make_unique<WireBufferPool>();
     stagers_.clear();
     stagers_.reserve(num_machines);
     for (MachineId m = 0; m < num_machines; ++m) {
       stagers_.emplace_back(&app_, WireBatchOptions{}, pool_.get(), m,
-                            num_machines, wire_combine,
-                            graph_->encoding().starts());
+                            num_machines);
     }
 
     const uint32_t num_partitions = graph_->num_partitions();
     kernel_ = std::make_unique<PartitionKernel<App>>(
-        app_, *graph_, config_.frontier_gating, num_workers);
+        app_, *graph_, config_.frontier_gating, config_.local_combination,
+        num_workers);
     done_.assign(num_partitions, 0);
     alive_.assign(num_machines, 1);
     stage_tasks_done_.assign(num_machines, 0);
@@ -742,10 +739,9 @@ class RuntimeExecutor {
   }
 
   /// Runs the Transfer task of partition p on `exec_machine`. The kernel
-  /// only routes raw emissions into per-destination streams; local
-  /// combination, pricing, and serialization all happen at staging time in
-  /// the machine's WireStager (which replays the sequential runner's merge
-  /// sequence, keeping results bit-identical).
+  /// routes and merges emissions into per-destination streams (replaying
+  /// the sequential runner's merge sequence, keeping results bit-identical);
+  /// pricing and serialization happen in the machine's WireStager.
   void RunTransferTask(PartitionId p, MachineId exec_machine, int iteration,
                        uint32_t w, WorkerLocal& local) {
     // Hot path: per-task events go through this worker's lock-free shard
@@ -759,6 +755,7 @@ class RuntimeExecutor {
           blocked_s += stager.StageTask(p, dst, placement_->primary(dst), real,
                                         virtuals, SendSink(w, local));
         });
+    local.wire_messages_combined += tally.combined;
     PhaseSeconds& slot = PhaseSlot(iteration, PhaseKind::kTransfer,
                                    exec_machine);
     slot.compute_s += tally.emit_s;

@@ -6,11 +6,14 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "propagation/app_traits.h"
 #include "runtime/combine_plan.h"
@@ -28,11 +31,12 @@ namespace runtime {
 /// PropagationRunner keeps its own loops: it is the reference both engines
 /// are tested against, and it prices every vertex for the cost model.
 ///
-/// Bit-identity with that runner: Transfer hands each (src -> dst) stream
-/// over whole and in emission order; one machine produces a given stream per
-/// stage over FIFO links, so its chunks arrive in emission order and
-/// Combine's stable sort by source partition recreates the sequential
-/// inbox; the counting scatter then reproduces a stable sort by target.
+/// Bit-identity with that runner: Transfer merges duplicate targets with the
+/// runner's fold sequence and hands each (src -> dst) stream over whole and
+/// in first-occurrence order; one machine produces a given stream per stage
+/// over FIFO links, so its chunks arrive in that order and Combine's stable
+/// sort by source partition recreates the sequential inbox; the counting
+/// scatter then reproduces a stable sort by target.
 ///
 /// Scratch is per caller-named `thread`. Receives into a partition come from
 /// one thread at a time, and a barrier separates them from that partition's
@@ -49,8 +53,9 @@ class PartitionKernel {
   using VirtualResults = std::vector<std::pair<uint64_t, VirtualOutput>>;
 
   struct TransferTally {
-    double emit_s = 0.0;  ///< user Transfer calls plus routing
-    double sink_s = 0.0;  ///< inside the sink
+    double emit_s = 0.0;    ///< user Transfer calls, routing and merging
+    double sink_s = 0.0;    ///< inside the sink
+    uint64_t combined = 0;  ///< emissions folded into an earlier record
   };
 
   struct CombineTally {
@@ -62,11 +67,14 @@ class PartitionKernel {
     double compute_s = 0.0;      ///< user Combine calls plus the virtual fold
   };
 
+  /// `combine` is the job's local_combination; it merges only for an app
+  /// with Merge.
   PartitionKernel(const App& app, const PartitionedGraph& graph,
-                  bool frontier_gating, uint32_t num_threads)
+                  bool frontier_gating, bool combine, uint32_t num_threads)
       : app_(app),
         graph_(graph),
         frontier_gating_(frontier_gating),
+        combine_(combine && MergeableApp<App>),
         threads_(num_threads),
         inboxes_(graph.num_partitions()),
         plans_(graph.num_partitions()),
@@ -75,17 +83,16 @@ class PartitionKernel {
             graph.num_partitions())) {}
 
   /// Runs Transfer over partition p's vertices against `states`, routes
-  /// each emission into its destination partition's stream, then calls
+  /// each emission into its destination partition's stream (merging
+  /// duplicate targets when the job combines, see Emit), then calls
   /// sink(dst, real, virtuals) for every non-empty destination in ascending
-  /// order. The sink sees nothing until the whole task has emitted, so wire
-  /// combination there spans full streams, which exact byte reconciliation
+  /// order. The sink sees nothing until the whole task has emitted, so each
+  /// stream is priced after its last merge, which exact byte reconciliation
   /// needs. The sink may consume the streams.
   template <typename Sink>
   TransferTally Transfer(uint32_t thread, PartitionId p,
                          const std::vector<VertexState>& states, Sink&& sink) {
     const auto start = Clock::now();
-    const Graph& g = graph_.encoded_graph();
-    const PartitionMeta& meta = graph_.partition(p);
     const uint32_t num_partitions = graph_.num_partitions();
     ThreadScratch& ts = threads_[thread];
     ts.real_out.resize(num_partitions);
@@ -94,30 +101,19 @@ class PartitionKernel {
       ts.real_out[dst].clear();
       ts.virtual_out[dst].clear();
     }
-    for (VertexId v = meta.begin; v < meta.end; ++v) {
-      app_.Transfer(v, states[v], g.OutNeighbors(v), ts.emitter);
-      ts.emitter.Drain(
-          [&](VertexId target, Message message) {
-            // A target in the emitter's own partition (the common case once
-            // the partitioner has kept edges inside) needs no search.
-            const PartitionId dst =
-                target >= meta.begin && target < meta.end
-                    ? p
-                    : graph_.PartitionOf(target);
-            ts.real_out[dst].emplace_back(target, std::move(message));
-          },
-          [&](uint64_t target, Message message) {
-            ts.virtual_out[target % num_partitions].emplace_back(
-                target, std::move(message));
-          });
-    }
+    TransferTally tally;
+    // combine_ implies MergeableApp, which keeps Merge out of other apps.
+    tally.combined = combine_ ? Emit<MergeableApp<App>>(ts, p, states)
+                              : Emit<false>(ts, p, states);
     const auto emitted = Clock::now();
     for (PartitionId dst = 0; dst < num_partitions; ++dst) {
       if (!ts.real_out[dst].empty() || !ts.virtual_out[dst].empty()) {
         sink(dst, ts.real_out[dst], ts.virtual_out[dst]);
       }
     }
-    return {Seconds(emitted - start), Seconds(Clock::now() - emitted)};
+    tally.emit_s = Seconds(emitted - start);
+    tally.sink_s = Seconds(Clock::now() - emitted);
+    return tally;
   }
 
   /// Decodes one batch into its destination partitions' inboxes, counting
@@ -278,11 +274,18 @@ class PartitionKernel {
     typename WireBatchReader<Message>::Segment segment;
   };
 
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
   /// One thread's buffers, reused across its tasks (cleared, capacity kept).
   struct ThreadScratch {
     PropagationEmitter<Message> emitter;
     std::vector<RealStream> real_out;
     std::vector<VirtualStream> virtual_out;
+    /// Merge slots: slots[target] is the index of target's record in its
+    /// stream, kNoSlot between tasks. Sized to every vertex on first use.
+    std::vector<uint32_t> slots;
+    /// The same for virtual targets, which have no dense index.
+    std::unordered_map<uint64_t, uint32_t> virtual_slots;
     std::vector<Message> grouped;
     std::vector<Message> vertex_messages;
     VirtualStream virtual_messages;
@@ -298,6 +301,84 @@ class PartitionKernel {
 
   static double Seconds(Clock::duration d) {
     return std::chrono::duration<double>(d).count();
+  }
+
+  /// Transfer's emission loop: each record drained from the emitter goes
+  /// to its owner's stream (one load, VertexEncoding::PartitionOf). With
+  /// kCombine, a record whose target already has one in its stream folds
+  /// into it as Merge(acc, next), so every stream holds one record per
+  /// target in first-occurrence order, each the left fold of its target's
+  /// emissions in emission order: the analytic runner's fold sequence, so
+  /// merged values match it to the bit. Returns the records folded away.
+  template <bool kCombine>
+  uint64_t Emit(ThreadScratch& ts, PartitionId p,
+                const std::vector<VertexState>& states) {
+    const Graph& g = graph_.encoded_graph();
+    const VertexEncoding& encoding = graph_.encoding();
+    const VertexId n = encoding.num_vertices();
+    const PartitionMeta& meta = graph_.partition(p);
+    const uint32_t num_partitions = graph_.num_partitions();
+    uint64_t combined = 0;
+    if constexpr (kCombine) {
+      ts.slots.resize(n, kNoSlot);
+    }
+    for (VertexId v = meta.begin; v < meta.end; ++v) {
+      app_.Transfer(v, states[v], g.OutNeighbors(v), ts.emitter);
+      ts.emitter.Drain(
+          [&](VertexId target, Message message) {
+            if (target >= n) [[unlikely]] {
+              TargetOutOfRange(target, p, n);
+            }
+            RealStream& out = ts.real_out[encoding.PartitionOf(target)];
+            if constexpr (kCombine) {
+              uint32_t& slot = ts.slots[target];
+              if (slot != kNoSlot) {
+                Message& acc = out[slot].second;
+                acc = app_.Merge(acc, message);
+                ++combined;
+                return;
+              }
+              slot = static_cast<uint32_t>(out.size());
+            }
+            out.emplace_back(target, std::move(message));
+          },
+          [&](uint64_t target, Message message) {
+            VirtualStream& out = ts.virtual_out[target % num_partitions];
+            if constexpr (kCombine) {
+              const auto [it, first] = ts.virtual_slots.try_emplace(
+                  target, static_cast<uint32_t>(out.size()));
+              if (!first) {
+                Message& acc = out[it->second].second;
+                acc = app_.Merge(acc, message);
+                ++combined;
+                return;
+              }
+            }
+            out.emplace_back(target, std::move(message));
+          });
+    }
+    if constexpr (kCombine) {
+      // Only the kept records' slots were written, so walking them resets
+      // the table for the next task.
+      for (const RealStream& out : ts.real_out) {
+        for (const auto& record : out) {
+          ts.slots[record.first] = kNoSlot;
+        }
+      }
+      ts.virtual_slots.clear();
+    }
+    return combined;
+  }
+
+  /// An app emitted a real target past the last vertex. Caught before the
+  /// owner lookup, which would read out of bounds; out of line and cold, so
+  /// the emission loop stays small.
+  [[noreturn, gnu::noinline, gnu::cold]] static void TargetOutOfRange(
+      VertexId target, PartitionId src, VertexId num_vertices) {
+    SURFER_CHECK(false) << "partition " << src << " emitted target "
+                        << target << ", but the graph has only "
+                        << num_vertices << " vertices";
+    std::abort();
   }
 
   static void Park(InboxChunk& chunk, std::vector<InboxChunk>& pool) {
@@ -319,6 +400,8 @@ class PartitionKernel {
   const App& app_;
   const PartitionedGraph& graph_;
   const bool frontier_gating_;
+  /// Merge at emission: the job's local_combination and a mergeable app.
+  const bool combine_;
   std::vector<ThreadScratch> threads_;
   std::vector<std::vector<InboxChunk>> inboxes_;
   /// plans_[p]: p's counting-scatter plan, counted as its chunks arrive.

@@ -33,8 +33,8 @@ obs::JsonValue RuntimeStatsToJson(const RuntimeStats& stats) {
   RuntimeCounters::ForEachCounter([&](const char* name, auto member) {
     block.Set(name, stats.*member);
   });
-  // Fraction of staged messages merged away by wire-level combination
-  // before being priced: combined / (combined + sent-on-the-wire).
+  // Fraction of emitted messages merged away at emission before being
+  // priced: combined / (combined + sent-on-the-wire).
   const uint64_t staged =
       stats.wire_messages_combined + stats.messages_sent;
   block.Set("wire_combine_hit_rate",

@@ -37,7 +37,7 @@ struct RuntimeCounters {
   uint64_t wire_batches_sent = 0;
   uint64_t wire_segments_sent = 0;
   uint64_t wire_payload_bytes = 0;       ///< serialized bytes across batches
-  uint64_t wire_messages_combined = 0;   ///< messages merged away at seal time
+  uint64_t wire_messages_combined = 0;   ///< messages merged at emission
   uint64_t wire_flush_size = 0;          ///< seals forced by max_batch_bytes
   uint64_t wire_flush_deadline = 0;      ///< seals forced by the flush deadline
   uint64_t wire_flush_stage_end = 0;     ///< seals at end-of-stage FlushAll

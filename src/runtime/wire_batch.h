@@ -6,19 +6,16 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/logging.h"
 #include "common/status.h"
 #include "graph/types.h"
 #include "obs/telemetry.h"
@@ -276,8 +273,9 @@ class WireBatchReader {
 
 /// Wire-plane tallies of one staging machine. The stager counts straight
 /// into the RuntimeCounters wire fields it feeds (wire_batches_sent through
-/// wire_flush_stage_end) and leaves the rest at zero, so an engine folds it
-/// in with `+=`; only the batch-fill histogram is its own.
+/// wire_flush_stage_end, except wire_messages_combined, which the kernel
+/// counts) and leaves the rest at zero, so an engine folds it in with `+=`;
+/// only the batch-fill histogram is its own.
 struct WireStagerStats : RuntimeCounters {
   Histogram batch_fill;  ///< payload/max_batch_bytes at each seal
 };
@@ -286,14 +284,13 @@ struct WireStagerStats : RuntimeCounters {
 /// payloads, one open batch per destination machine. Accessed only by the
 /// machine's owner worker, so it needs no locking of its own.
 ///
-/// Wire-level local combination happens here, at staging time: a task hands
-/// over its complete (src -> dst) stream, duplicates merge in emission order
-/// with the same Merge(acc, next) folds the analytic runner performs, and
-/// only the post-merge records are serialized and priced. Because the whole
-/// stream is combined before any of it is written, a mid-stream size flush
-/// can split the stream across batches without changing the priced byte
-/// count — the invariant that keeps the runtime's per-link bytes
-/// reconciling exactly with PropagationRunner::link_network_bytes().
+/// The stager only serializes and prices: local combination already
+/// happened at emission (PartitionKernel::Transfer), and a task hands over
+/// each complete, merged (src -> dst) stream. Because a stream is priced
+/// whole, a mid-stream size flush can split it across batches without
+/// changing the priced byte count — the invariant that keeps the runtime's
+/// per-link bytes reconciling exactly with
+/// PropagationRunner::link_network_bytes().
 template <typename App>
   requires PropagationApp<App> && WireSerializableApp<App>
 class WireStager {
@@ -301,47 +298,26 @@ class WireStager {
   using Message = typename App::Message;
   using Clock = std::chrono::steady_clock;
 
-  /// `partition_starts` (the P+1 VertexEncoding::starts(), borrowed for
-  /// the stager's lifetime) sizes the dense merge's slot table; every real
-  /// target staged for partition d must lie in [starts[d], starts[d+1]).
   WireStager(const App* app, const WireBatchOptions& options,
              WireBufferPool* pool, MachineId src_machine,
-             uint32_t num_machines, bool combine,
-             std::span<const VertexId> partition_starts)
+             uint32_t num_machines)
       : app_(app),
         options_(options),
         pool_(pool),
         src_machine_(src_machine),
-        combine_(combine),
-        starts_(partition_starts),
-        open_(num_machines) {
-    VertexId largest = 0;
-    for (size_t i = 0; i + 1 < starts_.size(); ++i) {
-      largest = std::max(largest, starts_[i + 1] - starts_[i]);
-    }
-    if (combine_ && MergeableApp<App>) {
-      slots_.assign(largest, kNoSlot);
-    }
-  }
+        open_(num_machines) {}
 
-  /// Stages one task's complete (src -> dst) stream: merges duplicates (when
-  /// combination is on), prices the post-merge records, and serializes them
-  /// into the destination machine's open batch, sealing and shipping batches
-  /// that hit the size cap along the way. `send` takes a sealed WireBatch
-  /// and returns the seconds it spent blocked on channel backpressure; the
-  /// summed blocked time is returned to the caller for phase attribution.
-  /// Both record vectors are consumed.
+  /// Stages one task's complete (src -> dst) stream: prices its records and
+  /// serializes them into the destination machine's open batch, sealing and
+  /// shipping batches that hit the size cap along the way. `send` takes a
+  /// sealed WireBatch and returns the seconds it spent blocked on channel
+  /// backpressure; the summed blocked time is returned to the caller for
+  /// phase attribution. Both record vectors are consumed.
   template <typename SendFn>
   double StageTask(PartitionId src, PartitionId dst, MachineId dst_machine,
                    std::vector<std::pair<VertexId, Message>>& real,
                    std::vector<std::pair<uint64_t, Message>>& virtuals,
                    SendFn&& send) {
-    if (combine_) {
-      if constexpr (MergeableApp<App>) {
-        MergeDense(dst, real);
-        MergeHashed(virtuals);
-      }
-    }
     double blocked_s = 0.0;
     if (!real.empty()) {
       blocked_s +=
@@ -409,81 +385,6 @@ class WireStager {
     bool active = false;
   };
 
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
-
-  /// Merges duplicate targets in place: the first occurrence of a target
-  /// keeps its position (output is in first-occurrence order) and every
-  /// later one folds into it as Merge(acc, next), in emission order — the
-  /// analytic runner's exact fold sequence, so merged values match it to the
-  /// bit. `slot_of(target)` names the target's slot, which holds kNoSlot
-  /// until the target's first record has been kept. Order within a merged
-  /// stream is irrelevant downstream: it carries at most one message per
-  /// target and Combine's counting scatter groups by target.
-  template <typename K, typename SlotOf>
-  void Compact(std::vector<std::pair<K, Message>>& records, SlotOf&& slot_of) {
-    size_t kept = 0;
-    for (size_t i = 0; i < records.size(); ++i) {
-      uint32_t& slot = slot_of(records[i].first);
-      if (slot == kNoSlot) {
-        slot = static_cast<uint32_t>(kept);
-        if (kept != i) {
-          records[kept] = std::move(records[i]);
-        }
-        ++kept;
-      } else {
-        Message& acc = records[slot].second;
-        acc = app_->Merge(acc, records[i].second);
-        ++stats_.wire_messages_combined;
-      }
-    }
-    records.erase(records.begin() + static_cast<std::ptrdiff_t>(kept),
-                  records.end());
-  }
-
-  /// Real targets of destination partition `dst`: slot = slots_[target -
-  /// start of dst]. Only the merged output's slots were written, so walking
-  /// it resets the table for the next stream.
-  void MergeDense(PartitionId dst,
-                  std::vector<std::pair<VertexId, Message>>& records) {
-    if (records.size() < 2) {
-      return;
-    }
-    const VertexId lo = starts_[dst];
-    const VertexId size = starts_[dst + 1] - lo;
-    Compact(records, [&](VertexId target) -> uint32_t& {
-      if (target - lo >= size) [[unlikely]] {
-        OutsidePartition(target, dst);
-      }
-      return slots_[target - lo];
-    });
-    for (const auto& record : records) {
-      slots_[record.first - lo] = kNoSlot;
-    }
-  }
-
-  /// The engines route every real target into its owner's stream, so this
-  /// is a bug, not bad input.
-  [[noreturn, gnu::noinline, gnu::cold]] static void OutsidePartition(
-      VertexId target, PartitionId dst) {
-    SURFER_CHECK(false) << "staged target " << target
-                        << " lies outside destination partition " << dst;
-    std::abort();
-  }
-
-  /// Virtual IDs are arbitrary 64-bit values with no dense index, so they
-  /// merge through a per-stream hash map.
-  template <typename K>
-  void MergeHashed(std::vector<std::pair<K, Message>>& records) {
-    if (records.size() < 2) {
-      return;
-    }
-    std::unordered_map<K, uint32_t> index;
-    index.reserve(records.size());
-    Compact(records, [&](K target) -> uint32_t& {
-      return index.try_emplace(target, kNoSlot).first->second;
-    });
-  }
-
   template <typename K, typename SendFn>
   double WriteSegment(PartitionId src, PartitionId dst, MachineId dst_machine,
                       uint32_t kind,
@@ -531,8 +432,8 @@ class WireStager {
         return blocked_s;
       }
       // Chunk the stream: ship the full batch and continue the same
-      // (src, dst) stream in a fresh segment. Records were combined and
-      // priced for the whole task above, so chunking cannot change the cost
+      // (src, dst) stream in a fresh segment. The task merged the whole
+      // stream before staging it, so chunking cannot change the cost
       // model's byte count.
       ++stats_.wire_flush_size;
       blocked_s += Seal(open, send);
@@ -587,11 +488,6 @@ class WireStager {
   WireBatchOptions options_;
   WireBufferPool* pool_;
   MachineId src_machine_;
-  bool combine_;
-  std::span<const VertexId> starts_;
-  /// Dense-merge slot per vertex offset of the largest partition; kNoSlot
-  /// between streams.
-  std::vector<uint32_t> slots_;
   std::vector<OpenBatch> open_;
   WireStagerStats stats_;
 };

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -51,6 +52,18 @@ class PartitionStoreTest : public ::testing::Test {
   ReplicatedPlacement placement_;
 };
 
+/// Checks an encoding's owner table for every ID in [0, n] against its
+/// definition: the last range start <= the ID.
+void ExpectOwnersMatchStarts(const VertexEncoding& enc) {
+  const std::vector<VertexId>& starts = enc.starts();
+  for (VertexId e = 0; e <= enc.num_vertices(); ++e) {
+    const auto it = std::upper_bound(starts.begin(), starts.end(), e);
+    ASSERT_EQ(enc.PartitionOf(e),
+              static_cast<PartitionId>(it - starts.begin()) - 1)
+        << "id " << e;
+  }
+}
+
 TEST_F(PartitionStoreTest, RoundTripPreservesEverything) {
   ASSERT_TRUE(PartitionStore::Write(*pg_, placement_, dir_).ok());
   auto loaded = PartitionStore::Load(dir_);
@@ -73,8 +86,32 @@ TEST_F(PartitionStoreTest, RoundTripPreservesEverything) {
   for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
     EXPECT_EQ(reloaded.encoding().ToEncoded(v), pg_->encoding().ToEncoded(v));
   }
+  ExpectOwnersMatchStarts(reloaded.encoding());
   // Placement survives.
   EXPECT_EQ(loaded->placement.replicas, placement_.replicas);
+}
+
+TEST_F(PartitionStoreTest, RoundTripRederivesTheOwnerTable) {
+  // The store keeps only the range starts; a load rebuilds the owner table.
+  // Partitions 0 (front), 3 and 4 (middle) and 7 (end) are left empty.
+  const PartitionId used[] = {1, 2, 5, 6};
+  Partitioning partitioning;
+  partitioning.num_partitions = 8;
+  for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
+    partitioning.assignment.push_back(used[v % 4]);
+  }
+  auto pg = PartitionedGraph::Create(graph_, partitioning);
+  ASSERT_TRUE(pg.ok());
+  ExpectOwnersMatchStarts(pg->encoding());
+  ASSERT_TRUE(PartitionStore::Write(*pg, placement_, dir_).ok());
+  auto loaded = PartitionStore::Load(dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const VertexEncoding& enc = loaded->graph.encoding();
+  EXPECT_EQ(enc.starts(), pg->encoding().starts());
+  ExpectOwnersMatchStarts(enc);
+  for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
+    EXPECT_EQ(enc.PartitionOf(enc.ToEncoded(v)), partitioning.assignment[v]);
+  }
 }
 
 TEST_F(PartitionStoreTest, LoadPartitionRows) {

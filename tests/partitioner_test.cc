@@ -217,24 +217,45 @@ TEST(VertexEncodingTest, RoundTripAndRanges) {
 }
 
 TEST(VertexEncodingTest, PartitionOfSkipsEmptyPartitions) {
-  // Partitions 0, 2, 3 and 6 are empty; each ID belongs to the last
-  // partition whose start is <= it, and an ID past the end maps to P.
+  // Partitions 0 (front), 2 and 3 (middle) and 6 (end) are empty; each ID
+  // belongs to the last partition whose start is <= it, and the ID one past
+  // the end maps to P. Both constructors derive the owner table from the
+  // starts, so both must agree with that definition.
   std::vector<VertexId> identity(10);
   for (VertexId v = 0; v < 10; ++v) {
     identity[v] = v;
   }
   const std::vector<VertexId> starts = {0, 0, 3, 3, 3, 7, 10, 10};
+  const auto last_start_at_or_below = [&](VertexId e) {
+    const auto it = std::upper_bound(starts.begin(), starts.end(), e);
+    return static_cast<PartitionId>(it - starts.begin()) - 1;
+  };
   auto enc = VertexEncoding::FromMapping(identity, starts);
   ASSERT_TRUE(enc.ok());
   for (VertexId e = 0; e <= 10; ++e) {
-    const auto it = std::upper_bound(starts.begin(), starts.end(), e);
-    EXPECT_EQ(enc->PartitionOf(e),
-              static_cast<PartitionId>(it - starts.begin()) - 1)
-        << "id " << e;
+    EXPECT_EQ(enc->PartitionOf(e), last_start_at_or_below(e)) << "id " << e;
   }
   EXPECT_EQ(enc->PartitionOf(0), 1u);
   EXPECT_EQ(enc->PartitionOf(3), 4u);
   EXPECT_EQ(enc->PartitionOf(9), 5u);
+
+  // Create from an assignment with the same partition sizes, listed in
+  // reverse, so the encoding permutes the vertices.
+  Partitioning partitioning;
+  partitioning.num_partitions = 7;
+  for (VertexId v = 0; v < 10; ++v) {
+    partitioning.assignment.push_back(last_start_at_or_below(9 - v));
+  }
+  const VertexEncoding created = VertexEncoding::Create(partitioning);
+  EXPECT_EQ(created.starts(), starts);
+  for (VertexId e = 0; e <= 10; ++e) {
+    EXPECT_EQ(created.PartitionOf(e), last_start_at_or_below(e)) << "id " << e;
+  }
+  for (VertexId v = 0; v < 10; ++v) {
+    EXPECT_EQ(created.PartitionOf(created.ToEncoded(v)),
+              partitioning.assignment[v])
+        << "vertex " << v;
+  }
 }
 
 TEST(VertexEncodingTest, ReencodePreservesStructure) {

@@ -137,8 +137,70 @@ TEST(RuntimeTest, BitIdenticalUnderMaximumBackpressure) {
                      "capacity-1 channels");
 }
 
+/// Mergeable app whose vertex 0 emits to vertex n, one past the last: an
+/// app bug every engine must stop on rather than route.
+struct EmitsPastLastVertexApp {
+  using VertexState = double;
+  using Message = double;
+
+  VertexId num_vertices = 0;
+
+  VertexState InitState(VertexId, std::span<const VertexId>) const {
+    return 0.0;
+  }
+  void Transfer(VertexId v, const VertexState&, std::span<const VertexId>,
+                PropagationEmitter<Message>& emitter) const {
+    if (v == 0) {
+      emitter.Emit(num_vertices, 1.0);
+    }
+  }
+  void Combine(VertexId, VertexState&, std::span<const VertexId>,
+               std::vector<Message>&) const {}
+  Message Merge(const Message& a, const Message& b) const { return a + b; }
+  size_t MessageBytes(const Message&) const { return sizeof(Message); }
+  size_t StateBytes(const VertexState&) const { return sizeof(VertexState); }
+};
+
+void RunEmitsPastLastVertex(OptimizationLevel level) {
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(level);
+  RuntimeExecutor<EmitsPastLastVertexApp> executor(
+      setup.graph, setup.placement, setup.topology,
+      EmitsPastLastVertexApp{f.graph.num_vertices()},
+      ConfigFor(level, /*iterations=*/1));
+  (void)executor.Run();
+}
+
+// O1 stages every message raw, O4 merges at emission: both paths must
+// reject the target before routing it, naming it and its source partition.
+// The analytic runner routes through the same owner table, so it checks
+// too.
+TEST(RuntimeDeathTest, EmittedTargetPastLastVertexAbortsAtO1) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(RunEmitsPastLastVertex(OptimizationLevel::kO1),
+               "partition 0 emitted target [0-9]+, but the graph has only");
+}
+
+TEST(RuntimeDeathTest, EmittedTargetPastLastVertexAbortsAtO4) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(RunEmitsPastLastVertex(OptimizationLevel::kO4),
+               "partition 0 emitted target [0-9]+, but the graph has only");
+}
+
+TEST(RuntimeDeathTest, EmittedTargetPastLastVertexAbortsInTheAnalyticRunner) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const EngineFixture& f = Fixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  PropagationRunner<EmitsPastLastVertexApp> runner(
+      setup.graph, setup.placement, setup.topology,
+      EmitsPastLastVertexApp{f.graph.num_vertices()},
+      ConfigFor(OptimizationLevel::kO4, /*iterations=*/1));
+  EXPECT_DEATH((void)runner.Run(setup.sim_options),
+               "partition 0 emitted target [0-9]+, but the graph has only");
+}
+
 TEST(RuntimeTest, BitIdenticalWithLocalCombinationDisabled) {
-  // With local combination off the stagers do no wire-level combination
+  // With local combination off the kernel merges nothing at emission
   // either, so the executor must match a sequential run that also skips it:
   // both move the same uncombined message multiset, and the per-link bytes
   // must still reconcile exactly.
