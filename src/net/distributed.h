@@ -492,9 +492,6 @@ class DistributedWorker {
           ++stats_.tasks_reexecuted;
         }
         MaybeSendTaskDone(p, m, round);
-        if (round.kind == RoundKind::kTransfer) {
-          stagers_.at(m).FlushExpired(SendSink());
-        }
         PumpMailbox();
       }
       if (round.kind == RoundKind::kTransfer) {

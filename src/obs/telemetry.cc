@@ -123,14 +123,20 @@ void TelemetryRecorder::SamplerMain() {
   // period; a tick that overruns simply skips ahead (no catch-up burst,
   // which would concentrate sampling load right when the host is busiest).
   auto next = Clock::now() + period;
-  while (!stop_.load(std::memory_order_acquire)) {
-    SampleNow();
+  // The start-edge tick does not look at the stop flag, so even a run that
+  // ends before this thread is first scheduled records both edges.
+  SampleNow();
+  for (;;) {
     std::this_thread::sleep_until(next);
     const auto now = Clock::now();
     next += period;
     if (next < now) {
       next = now + period;
     }
+    if (stop_.load(std::memory_order_acquire)) {
+      break;
+    }
+    SampleNow();
   }
   // One final tick so short runs (and the stop edge) are represented.
   SampleNow();

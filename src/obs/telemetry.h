@@ -111,7 +111,9 @@ class TelemetryRecorder {
 
   /// Starts the background sampler (no-op when disabled or no series are
   /// registered). `origin` anchors sample timestamps: pass the run's start
-  /// instant so telemetry time aligns with the run's other clocks.
+  /// instant so telemetry time aligns with the run's other clocks. A started
+  /// recorder holds at least two ticks once stopped, its start edge and its
+  /// stop edge, however soon Stop follows.
   void Start(Clock::time_point origin = Clock::now());
 
   /// Stops and joins the sampler. Idempotent.

@@ -84,7 +84,7 @@ namespace internal {
 
 WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
                           std::vector<VertexId>* fine_to_coarse,
-                          ThreadPool* pool) {
+                          ThreadPool* /*pool*/) {
   const VertexId n = graph.num_vertices();
   std::vector<VertexId> match(n, kInvalidVertex);
   std::vector<VertexId> order(n);
@@ -199,18 +199,18 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
     coarse.vertex_weights[(*fine_to_coarse)[v]] += graph.vertex_weights[v];
   }
   coarse.offsets.assign(next_coarse + 1, 0);
-  // Merges one coarse vertex's adjacency: accumulate edge weights from all
-  // members into `accumulator` (dense, 64-bit, reset after use), emit
-  // neighbors in first-touch order (members in ascending fine ID, each in
-  // its CSR order). Sorting the lists by coarse ID cost three times the rest
-  // of the coarsening and nothing reads them in order. Each coarse vertex is
-  // independent of the others, which is what the sharded build below
-  // exploits.
-  auto merge_adjacency = [&graph, &members, &member_begin, fine_to_coarse](
-                             VertexId c, std::vector<int64_t>& accumulator,
-                             std::vector<VertexId>& touched,
-                             std::vector<VertexId>& out_neighbors,
-                             std::vector<int32_t>& out_weights) {
+  // Merging never adds half-edges, so the fine count bounds the coarse one:
+  // one allocation instead of push_back doubling and its copies.
+  coarse.neighbors.reserve(graph.num_half_edges());
+  coarse.edge_weights.reserve(graph.num_half_edges());
+  // Each coarse vertex accumulates edge weights from all its members into
+  // `accumulator` (dense, 64-bit, reset after use) and emits neighbors in
+  // first-touch order (members in ascending fine ID, each in its CSR order).
+  // Sorting the lists by coarse ID cost three times the rest of the
+  // coarsening and nothing reads them in order.
+  std::vector<int64_t> accumulator(next_coarse, 0);
+  std::vector<VertexId> touched;
+  for (VertexId c = 0; c < next_coarse; ++c) {
     touched.clear();
     for (size_t m = member_begin[c]; m < member_begin[c + 1]; ++m) {
       const VertexId v = members[m];
@@ -231,74 +231,11 @@ WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
       SURFER_CHECK(accumulator[cn] <= kMaxEdgeWeight)
           << "merged edge weight " << accumulator[cn]
           << " exceeds the 32-bit edge-weight bound " << kMaxEdgeWeight;
-      out_neighbors.push_back(cn);
-      out_weights.push_back(static_cast<int32_t>(accumulator[cn]));
+      coarse.neighbors.push_back(cn);
+      coarse.edge_weights.push_back(static_cast<int32_t>(accumulator[cn]));
       accumulator[cn] = 0;
     }
-  };
-
-  if (pool == nullptr || n < kIntraParallelMinVertices) {
-    // Merging never adds half-edges, so the fine count bounds the coarse
-    // one: one allocation instead of push_back doubling and its copies.
-    coarse.neighbors.reserve(graph.num_half_edges());
-    coarse.edge_weights.reserve(graph.num_half_edges());
-    std::vector<int64_t> accumulator(next_coarse, 0);
-    std::vector<VertexId> touched;
-    for (VertexId c = 0; c < next_coarse; ++c) {
-      merge_adjacency(c, accumulator, touched, coarse.neighbors,
-                      coarse.edge_weights);
-      coarse.offsets[c + 1] = coarse.neighbors.size();
-    }
-    return coarse;
-  }
-
-  // Sharded build: each chunk of coarse vertices merges into its own buffer
-  // (with its own dense accumulator), and buffers concatenate in chunk order
-  // afterwards. Chunk boundaries only group the same per-vertex lists, so
-  // the stitched CSR is identical to the sequential build.
-  struct ChunkBuffer {
-    std::vector<VertexId> neighbors;
-    std::vector<int32_t> weights;
-    std::vector<EdgeIndex> degrees;  // per coarse vertex in the chunk
-  };
-  const size_t num_chunks =
-      std::min<size_t>(pool->num_threads() * 4, next_coarse);
-  const VertexId chunk =
-      static_cast<VertexId>((next_coarse + num_chunks - 1) / num_chunks);
-  std::vector<ChunkBuffer> buffers(num_chunks);
-  TaskGroup group(pool);
-  for (size_t ci = 0; ci < num_chunks; ++ci) {
-    group.Submit([&, ci] {
-      const VertexId begin = static_cast<VertexId>(ci) * chunk;
-      const VertexId end = std::min<VertexId>(next_coarse, begin + chunk);
-      ChunkBuffer& buffer = buffers[ci];
-      std::vector<int64_t> accumulator(next_coarse, 0);
-      std::vector<VertexId> touched;
-      for (VertexId c = begin; c < end; ++c) {
-        const size_t before = buffer.neighbors.size();
-        merge_adjacency(c, accumulator, touched, buffer.neighbors,
-                        buffer.weights);
-        buffer.degrees.push_back(buffer.neighbors.size() - before);
-      }
-    });
-  }
-  group.Wait();
-  size_t total = 0;
-  for (const ChunkBuffer& buffer : buffers) {
-    total += buffer.neighbors.size();
-  }
-  coarse.neighbors.reserve(total);
-  coarse.edge_weights.reserve(total);
-  VertexId c = 0;
-  for (const ChunkBuffer& buffer : buffers) {
-    coarse.neighbors.insert(coarse.neighbors.end(), buffer.neighbors.begin(),
-                            buffer.neighbors.end());
-    coarse.edge_weights.insert(coarse.edge_weights.end(),
-                               buffer.weights.begin(), buffer.weights.end());
-    for (EdgeIndex degree : buffer.degrees) {
-      coarse.offsets[c + 1] = coarse.offsets[c] + degree;
-      ++c;
-    }
+    coarse.offsets[c + 1] = coarse.neighbors.size();
   }
   return coarse;
 }
@@ -679,7 +616,7 @@ BisectionResult BisectRecursive(const WeightedGraph& graph,
   }
   std::vector<VertexId> fine_to_coarse;
   const WeightedGraph coarse = internal::CoarsenOnce(
-      graph, MixSeed(options.seed, depth), &fine_to_coarse, options.pool);
+      graph, MixSeed(options.seed, depth), &fine_to_coarse);
   if (coarse.num_vertices() >=
       static_cast<VertexId>(0.95 * static_cast<double>(n))) {
     // Matching stalled (e.g. star graphs); stop coarsening here.

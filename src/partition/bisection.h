@@ -79,11 +79,10 @@ namespace internal {
 /// leaves of one hub, twins, relatives), and the isolated vertices with each
 /// other, so every level roughly halves the graph. `fine_to_coarse` maps
 /// each fine vertex to its coarse vertex; the coarse graph merges matched
-/// pairs, sums parallel edge weights, and drops intra-pair edges. The
-/// matching is sequential (seeded, order-sensitive); the coarse-graph build
-/// shards over `pool` when given — every coarse vertex's merged adjacency
-/// list is computed independently and stitched in coarse-ID order, so the
-/// output is identical to the sequential build.
+/// pairs, sums parallel edge weights, and drops intra-pair edges. Both the
+/// matching and the coarse-graph build are sequential; the build ignores
+/// `pool` (a sharded build measured no faster), which stays so callers that
+/// pass one keep compiling.
 WeightedGraph CoarsenOnce(const WeightedGraph& graph, uint64_t seed,
                           std::vector<VertexId>* fine_to_coarse,
                           ThreadPool* pool = nullptr);

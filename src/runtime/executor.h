@@ -609,12 +609,6 @@ class RuntimeExecutor {
           if (phase.recovery) {
             ++local.tasks_reexecuted;
           }
-          if (kind == PhaseKind::kTransfer) {
-            // Ship batches whose flush deadline lapsed while the task ran,
-            // so a quiet destination is not held hostage to the stage end.
-            PhaseSlot(iteration, kind, m).blocked_s +=
-                stagers_[m].FlushExpired(SendSink(w, local));
-          }
           Drain(w);  // keep inbound channels moving between tasks
         }
         if (kind == PhaseKind::kTransfer && alive_[m]) {

@@ -39,7 +39,6 @@ struct RuntimeCounters {
   uint64_t wire_payload_bytes = 0;       ///< serialized bytes across batches
   uint64_t wire_messages_combined = 0;   ///< messages merged at emission
   uint64_t wire_flush_size = 0;          ///< seals forced by max_batch_bytes
-  uint64_t wire_flush_deadline = 0;      ///< seals forced by the flush deadline
   uint64_t wire_flush_stage_end = 0;     ///< seals at end-of-stage FlushAll
   uint64_t pool_buffers_acquired = 0;    ///< WireBufferPool::Acquire calls
   uint64_t pool_buffers_reused = 0;      ///< acquires served from the freelist
@@ -89,7 +88,6 @@ struct RuntimeCounters {
     fn("wire_payload_bytes", &RuntimeCounters::wire_payload_bytes);
     fn("wire_messages_combined", &RuntimeCounters::wire_messages_combined);
     fn("wire_flush_size", &RuntimeCounters::wire_flush_size);
-    fn("wire_flush_deadline", &RuntimeCounters::wire_flush_deadline);
     fn("wire_flush_stage_end", &RuntimeCounters::wire_flush_stage_end);
     fn("pool_buffers_acquired", &RuntimeCounters::pool_buffers_acquired);
     fn("pool_buffers_reused", &RuntimeCounters::pool_buffers_reused);

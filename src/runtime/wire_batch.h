@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -33,13 +32,13 @@ template <typename App>
 concept WireSerializableApp =
     std::is_trivially_copyable_v<typename App::Message>;
 
-/// Tuning knobs of the wire plane. Batches seal when they reach
-/// `max_batch_bytes` (size flush), when they have been open longer than
-/// `flush_deadline_seconds` (deadline flush, checked between tasks), or at
-/// the end of a machine's stage work (stage-end flush).
+/// Tuning knob of the wire plane. A batch seals for one of two reasons: it
+/// reaches `max_batch_bytes` (size flush), or its machine's stage work ends
+/// (stage-end flush; a machine kill flushes the same way). Neither reads a
+/// clock, so a job's batch, segment and frame counts depend only on its
+/// input: the graph, the placement, the app and the options.
 struct WireBatchOptions {
   size_t max_batch_bytes = 64 << 10;
-  double flush_deadline_seconds = 0.002;
 };
 
 /// A sealed chunk of wire traffic between two machines: the unit of channel
@@ -67,7 +66,7 @@ inline constexpr uint32_t kWireSegmentVirtual = 1;
 /// Frames one segment inside a batch payload. `count` records follow the
 /// header: a real record is (VertexId, Message), a virtual record is
 /// (uint64_t id, Message), both raw little-endian pods. A stream split
-/// across batches by a size/deadline flush appears as several segments with
+/// across batches by a size flush appears as several segments with
 /// the same (src_partition, dst_partition); per-segment priced_bytes sum to
 /// the stream's post-combine cost, which keeps recovery refetch accounting
 /// exact at chunk granularity.
@@ -296,7 +295,6 @@ template <typename App>
 class WireStager {
  public:
   using Message = typename App::Message;
-  using Clock = std::chrono::steady_clock;
 
   WireStager(const App* app, const WireBatchOptions& options,
              WireBufferPool* pool, MachineId src_machine,
@@ -332,24 +330,6 @@ class WireStager {
     return blocked_s;
   }
 
-  /// Seals and ships open batches older than the flush deadline. Called
-  /// between tasks so a trickle of traffic to a quiet destination is not
-  /// held hostage to the stage end.
-  template <typename SendFn>
-  double FlushExpired(SendFn&& send) {
-    double blocked_s = 0.0;
-    const auto now = Clock::now();
-    for (OpenBatch& open : open_) {
-      if (open.active &&
-          std::chrono::duration<double>(now - open.opened).count() >=
-              options_.flush_deadline_seconds) {
-        ++stats_.wire_flush_deadline;
-        blocked_s += Seal(open, send);
-      }
-    }
-    return blocked_s;
-  }
-
   /// Seals and ships every open batch (stage end, or a machine kill whose
   /// completed tasks' output must still reach its destinations).
   template <typename SendFn>
@@ -381,7 +361,6 @@ class WireStager {
  private:
   struct OpenBatch {
     WireBatch batch;
-    Clock::time_point opened;
     bool active = false;
   };
 
@@ -470,7 +449,6 @@ class WireStager {
     open.batch.src_machine = src_machine_;
     open.batch.dst_machine = dst_machine;
     open.batch.payload = pool_->Acquire();
-    open.opened = Clock::now();
     open.active = true;
   }
 

@@ -1,11 +1,14 @@
 // End-to-end tests of the multi-process distributed engine: bit-identity
 // against the sequential PropagationRunner at several process counts, exact
-// per-link byte reconciliation with the analytic model, recovery from real
-// child-process kills, graceful SIGTERM decommission with artifact flush,
-// sessions that run many jobs on one worker group, and workers outliving a
-// killed coordinator by no more than a bound. Every test forks real OS
-// processes and moves real bytes over localhost TCP.
+// per-link byte reconciliation with the analytic model, message-plane counts
+// that repeat exactly across worker counts, runs and engines, recovery from
+// real child-process kills, graceful SIGTERM decommission with artifact
+// flush, sessions that run many jobs on one worker group, and workers
+// outliving a killed coordinator by no more than a bound. Every test forks
+// real OS processes and moves real bytes over localhost TCP.
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -14,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <set>
 #include <span>
 #include <sstream>
@@ -873,11 +877,8 @@ TEST(NetDistributedTest, SessionRunsEveryJobOnTheGroupItFormedFirst) {
     EXPECT_EQ(ControlFramesRead(cluster, "round_done"),
               3.0 * static_cast<double>(stats.barrier_generations))
         << "job " << job;
-    // The mesh counters are not exact (the stager's flush deadline depends
-    // on scheduling), but a session total would be job + 1 times the first.
-    EXPECT_LT(stats.tcp_bytes_sent, 2 * first.tcp_bytes_sent) << "job " << job;
-    EXPECT_LT(stats.tcp_frames_sent, 2 * first.tcp_frames_sent)
-        << "job " << job;
+    EXPECT_EQ(stats.tcp_bytes_sent, first.tcp_bytes_sent) << "job " << job;
+    EXPECT_EQ(stats.tcp_frames_sent, first.tcp_frames_sent) << "job " << job;
     const std::vector<double> seqs = RoundSeqs(cluster);
     ASSERT_EQ(seqs.size(), stats.barrier_generations);
     for (double seq : seqs) {
@@ -893,6 +894,154 @@ TEST(NetDistributedTest, SessionRunsEveryJobOnTheGroupItFormedFirst) {
       EXPECT_EQ(CoordinatorSeconds(cluster, phase), 0.0)
           << "job " << job << " " << phase;
     }
+  }
+}
+
+// ------------------------------------------------- message-plane counts
+
+/// The message-plane counts of one job. A batch seals only at the size cap
+/// or at its machine's stage end, so these are functions of the graph, the
+/// placement and the options alone.
+std::array<uint64_t, 5> WireCounts(const runtime::RuntimeStats& stats) {
+  return {stats.wire_batches_sent, stats.wire_segments_sent,
+          stats.wire_payload_bytes, stats.wire_flush_size,
+          stats.wire_flush_stage_end};
+}
+
+/// 64 partitions on 8 machines: each machine's eight transfer tasks share
+/// one open batch per destination.
+const EngineFixture& WideFixture() {
+  static const EngineFixture* fixture =
+      new EngineFixture(MakeEngineFixture(1 << 13, 64));
+  return *fixture;
+}
+
+// The counts repeat exactly: across threaded worker counts, repeated runs,
+// the distributed engine's jobs on one session and on a fresh session, and
+// between the two engines. The mesh frame and byte counts repeat too.
+TEST(NetDistributedTest, WireCountsAreFunctionsOfTheInput) {
+  const EngineFixture& f = WideFixture();
+  const NetworkRankingApp app(f.graph.num_vertices());
+  for (OptimizationLevel level :
+       {OptimizationLevel::kO1, OptimizationLevel::kO4}) {
+    const std::string at = level == OptimizationLevel::kO1 ? "O1" : "O4";
+    const BenchmarkSetup setup = f.Setup(level);
+    const PropagationConfig config = ConfigFor(level, /*iterations=*/2);
+
+    std::optional<std::array<uint64_t, 5>> counts;
+    for (uint32_t workers : {1u, 3u, 8u}) {
+      for (int run = 0; run < 2; ++run) {
+        EngineOptions options;
+        options.engine = EngineKind::kConcurrent;
+        options.propagation = config;
+        options.runtime.max_workers = workers;
+        auto result = RunViaEngine(setup, app, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_TRUE(result->runtime_stats.has_value());
+        const std::array<uint64_t, 5> these =
+            WireCounts(*result->runtime_stats);
+        counts = counts.value_or(these);
+        EXPECT_EQ(these, *counts) << at << " threaded @ " << workers
+                                  << " workers, run " << run;
+      }
+    }
+    ASSERT_GT((*counts)[0], 0u) << at;
+
+    EngineOptions options;
+    options.engine = EngineKind::kDistributed;
+    options.propagation = config;
+    options.distributed.max_processes = 3;
+    std::optional<std::pair<uint64_t, uint64_t>> mesh;
+    // Two jobs on one session, then one on a fresh session.
+    for (int jobs : {2, 1}) {
+      auto engine = Engine::Open(setup, options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      for (int job = 0; job < jobs; ++job) {
+        auto result = engine->Run(app);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_TRUE(result->runtime_stats.has_value());
+        const runtime::RuntimeStats& stats = *result->runtime_stats;
+        const std::string what = at + " distributed, session of " +
+                                 std::to_string(jobs) + ", job " +
+                                 std::to_string(job);
+        EXPECT_EQ(WireCounts(stats), *counts) << what;
+        const std::pair<uint64_t, uint64_t> these{stats.tcp_frames_sent,
+                                                  stats.tcp_bytes_sent};
+        mesh = mesh.value_or(these);
+        EXPECT_EQ(these, *mesh) << what << ": (frames, bytes)";
+      }
+    }
+    EXPECT_GT(mesh->first, 0u) << at;
+  }
+}
+
+/// NR whose Transfer sleeps 3 ms on the first vertex of every partition when
+/// `sleepy` is set, so every transfer task outlasts the 2 ms a wall-clock
+/// flush deadline would allow. It sends exactly what NR sends, and is
+/// trivially copyable, so a job frame carries it to the workers.
+class SlowTransferRankApp : public NetworkRankingApp {
+ public:
+  static constexpr size_t kMaxFenceposts = 65;
+
+  SlowTransferRankApp(VertexId num_vertices,
+                      std::span<const VertexId> partition_starts, bool sleepy)
+      : NetworkRankingApp(num_vertices),
+        num_starts_(std::min(partition_starts.size(), kMaxFenceposts)),
+        sleepy_(sleepy) {
+    std::copy_n(partition_starts.begin(), num_starts_, starts_.begin());
+  }
+
+  void Transfer(VertexId v, const VertexState& state,
+                std::span<const VertexId> neighbors,
+                PropagationEmitter<Message>& emitter) const {
+    if (sleepy_ &&
+        std::binary_search(starts_.begin(), starts_.begin() + num_starts_, v)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+    NetworkRankingApp::Transfer(v, state, neighbors, emitter);
+  }
+
+ private:
+  std::array<VertexId, kMaxFenceposts> starts_{};
+  size_t num_starts_ = 0;
+  bool sleepy_ = false;
+};
+static_assert(net::DistributableApp<SlowTransferRankApp>);
+
+// Slow transfer tasks change no count: a batch waits for its size cap or its
+// stage end however long the tasks that fill it take.
+TEST(NetDistributedTest, SlowTransferTasksLeaveTheWireCountsUnchanged) {
+  const EngineFixture& f = WideFixture();
+  const BenchmarkSetup setup = f.Setup(OptimizationLevel::kO4);
+  const std::span<const VertexId> starts = setup.graph->encoding().starts();
+  ASSERT_LE(starts.size(), SlowTransferRankApp::kMaxFenceposts);
+  for (EngineKind kind : {EngineKind::kConcurrent, EngineKind::kDistributed}) {
+    const bool threaded = kind == EngineKind::kConcurrent;
+    EngineOptions options;
+    options.engine = kind;
+    options.propagation = ConfigFor(OptimizationLevel::kO4, /*iterations=*/2);
+    if (threaded) {
+      options.runtime.max_workers = 3;
+    } else {
+      options.distributed.max_processes = 3;
+    }
+    std::vector<RunAppResult<SlowTransferRankApp>> runs;
+    for (bool sleepy : {false, true}) {
+      auto result = RunViaEngine(
+          setup,
+          SlowTransferRankApp(f.graph.num_vertices(), starts, sleepy),
+          options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_TRUE(result->runtime_stats.has_value());
+      runs.push_back(std::move(result).value());
+    }
+    const std::string what = threaded ? "threaded" : "distributed";
+    ExpectBitIdentical(runs[0].states, runs[1].states, what);
+    const runtime::RuntimeStats& plain = *runs[0].runtime_stats;
+    const runtime::RuntimeStats& slow = *runs[1].runtime_stats;
+    EXPECT_EQ(WireCounts(slow), WireCounts(plain)) << what;
+    EXPECT_EQ(slow.tcp_frames_sent, plain.tcp_frames_sent) << what;
+    EXPECT_EQ(slow.tcp_bytes_sent, plain.tcp_bytes_sent) << what;
   }
 }
 

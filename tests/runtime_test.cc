@@ -261,8 +261,7 @@ TEST(RuntimeTest, WireBatchStatsAreCoherent) {
   // so wire combination must fire under O4 (local combination on).
   EXPECT_GT(stats.wire_messages_combined, 0u);
   EXPECT_EQ(stats.batch_fill.count(), stats.wire_batches_sent);
-  EXPECT_EQ(stats.wire_flush_size + stats.wire_flush_deadline +
-                stats.wire_flush_stage_end,
+  EXPECT_EQ(stats.wire_flush_size + stats.wire_flush_stage_end,
             stats.wire_batches_sent);
   // Across 3 iterations the pool must be recycling buffers, not allocating
   // one per batch.

@@ -141,6 +141,21 @@ TEST(TelemetryRecorderTest, PeriodMultipleSubsamples) {
   EXPECT_EQ(snapshot[1].samples.size(), 3u);  // ticks 0, 4, 8
 }
 
+// Stop right after Start usually runs before the sampler thread is first
+// scheduled; the start and stop edges are still both recorded.
+TEST(TelemetryRecorderTest, ImmediateStopStillRecordsBothEdges) {
+  obs::TelemetryOptions options;
+  options.enabled = true;
+  options.period_seconds = 0.001;
+  for (int run = 0; run < 50; ++run) {
+    obs::TelemetryRecorder recorder(options);
+    recorder.RegisterGauge("edge", "items", [] { return 1.0; });
+    recorder.Start();
+    recorder.Stop();
+    EXPECT_GE(recorder.samples_taken(), 2u) << "run " << run;
+  }
+}
+
 TEST(TelemetryRecorderTest, BackgroundSamplerTicksAndStops) {
   obs::TelemetryOptions options;
   options.enabled = true;

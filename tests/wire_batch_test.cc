@@ -543,23 +543,6 @@ TEST(WireBatchTest, OneTaskMergesPerTargetAcrossInterleavedDestinations) {
 
 // ------------------------------------------------------- flush policy
 
-TEST(WireBatchTest, DeadlineFlushShipsIdleBatches) {
-  WireBatchOptions options;
-  options.flush_deadline_seconds = 0.0;  // everything is instantly overdue
-  Harness h(options);
-  WireStager<SumApp> stager = h.MakeStager();
-  Real real = {{101u, 1u}};
-  Virtual virtuals;
-  stager.StageTask(0, 1, /*dst_machine=*/1, real, virtuals, h.Sender());
-  EXPECT_TRUE(h.sent.empty());  // still open after the task
-  stager.FlushExpired(h.Sender());
-  EXPECT_EQ(h.sent.size(), 1u);
-  EXPECT_EQ(stager.stats().wire_flush_deadline, 1u);
-  EXPECT_EQ(stager.stats().wire_flush_stage_end, 0u);
-  stager.FlushExpired(h.Sender());  // nothing left open
-  EXPECT_EQ(h.sent.size(), 1u);
-}
-
 TEST(WireBatchTest, StageEndFlushSealsEveryOpenDestination) {
   Harness h;
   WireStager<SumApp> stager = h.MakeStager();
